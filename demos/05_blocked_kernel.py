@@ -27,7 +27,7 @@ n = 129
 g = build_stretched_grid(n, sigma_max=1.0)
 kf = build_wavenumber_field(ConstantK(40.0), g)
 op = StencilOperator(rotate_grid(g, 0.5), kf, mode="precond_grid")
-weights = jacobi_weights_for(design_for_operator(op, budget=8000), op)
+weights = jacobi_weights_for(design_for_operator(op), op)
 
 rng = np.random.default_rng(0)
 u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

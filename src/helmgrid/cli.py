@@ -16,8 +16,9 @@ from pathlib import Path
 
 from .blocked import TilePlan, bench
 from .grid import ConstantK, WedgeK
+from .multigrid import DivergenceError
 from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, shifted_operator, solve, sweep
-from .spectrum import design_for_operator, jacobi_weights_for, symbol_samples
+from .spectrum import UnstableLevelError, design_for_operator, jacobi_weights_for, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
 DIAGNOSTICS_COLUMNS = ["cycle", "level", "cgc_ratio", "pre_residual", "post_residual"]
@@ -201,7 +202,7 @@ def parse_tiles(text: str, n: int):
 def run_bench(config: ProblemConfig, tiles: str, repetitions: int, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     op = shifted_operator(config)
-    design = design_for_operator(op, theta_count=config.theta_count, budget=config.budget)
+    design = design_for_operator(op, theta_count=config.theta_count)
     weights = jacobi_weights_for(design, op)
     plans = parse_tiles(tiles, config.n)
     if not plans:
@@ -315,9 +316,9 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return run_bench(config, args.tiles, args.reps, out_dir)
         raise ValueError(f"unknown command {args.command!r}")
-    except ValueError as exc:
+    except (ValueError, UnstableLevelError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

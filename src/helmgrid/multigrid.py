@@ -162,7 +162,6 @@ def build_hierarchy(
     max_levels: int = 32,
     coarsest_max: int = COARSEST_MAX,
     theta_count: int = 64,
-    budget: int = 20000,
     inflate: float = 0.05,
     with_designs: bool | None = None,
 ) -> Hierarchy:
@@ -202,7 +201,7 @@ def build_hierarchy(
         jac = None
         if need_designs:
             design = design_for_operator(
-                op, theta_count=theta_count, inflate=inflate, budget=budget, level=ell
+                op, theta_count=theta_count, inflate=inflate, level=ell
             )
             jac = jacobi_weights_for(design, op)
         levels.append(Level(op=op, kind=smoother, design=design, jacobi_w=jac))

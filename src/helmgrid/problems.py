@@ -56,11 +56,13 @@ class ProblemConfig:
     rhs: str = "point"  # "point" or "random"
     seed: int = 0
     theta_count: int = 64
-    budget: int = 20000
 
     def validate(self) -> "ProblemConfig":
         if self.n < 3:
             raise ValueError(f"grid size n must be >= 3, got {self.n}")
+        for name in ("tol", "beta", "sigma_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0:
             raise ValueError(f"shift beta must be > 0, got {self.beta}")
         if self.sigma_max < 0:
@@ -129,7 +131,6 @@ def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Pr
         smoother=config.smoother_kind(),
         max_levels=config.levels,
         theta_count=config.theta_count,
-        budget=config.budget,
         with_designs=with_designs,
     )
     hierarchy.nu_pre = config.nu_pre

@@ -243,7 +243,7 @@ def test_criterion_10_oracle_micro_suite():
     adjoint_err = abs(lhs - rhs) / abs(rhs)
     # V-cycle superposition under poly3
     op16 = make_operator(15, 10.0)
-    hier = build_hierarchy(op16, smoother=SmootherKind("poly3"), budget=4000)
+    hier = build_hierarchy(op16, smoother=SmootherKind("poly3"))
     b1 = random_field((15, 15), seed=14)
     b2 = random_field((15, 15), seed=15)
     u1, _ = v_cycle(hier, b1)

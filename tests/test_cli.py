@@ -92,6 +92,23 @@ class TestSolveCommand:
         assert code == 1
         assert "shift beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, field", [("--tol", "tol"), ("--beta", "beta"), ("--sigma-max", "sigma_max")]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_names_field(self, tmp_path, capsys, flag, field, value):
+        code = main(["solve", "--n", "15", "--k", "10", flag, value,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    def test_setup_failure_exit_code(self, tmp_path, capsys):
+        # a nearly unshifted preconditioner leaves no stable cubic on some level
+        code = main(["solve", "--smoother", "poly3", "--beta", "0.01", "--n", "31",
+                     "--k", "30", "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: unstable level")
+
     def test_nonconverged_exit_code(self, tmp_path):
         code = main(["solve", "--n", "31", "--k", "20", "--max-iter", "2",
                      "--out-dir", str(tmp_path / "nc")])

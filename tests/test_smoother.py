@@ -107,7 +107,7 @@ class TestGmresSmooth:
         # on a constant-coefficient level the poly3 correction lies in the
         # same Krylov space GMRES(3) minimizes over
         op = make_operator(12, 7.0)
-        design = design_for_operator(op, budget=4000)
+        design = design_for_operator(op)
         w = jacobi_weights_for(design, op)
         rng = np.random.default_rng(13)
         for _ in range(20):

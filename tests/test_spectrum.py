@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmgrid import (
     StencilOperator,
@@ -216,11 +218,23 @@ class TestOptimizeWeights:
         seg = np.linspace(0.5, 2.0, 64).astype(complex)
         thick = np.concatenate([seg + 1e-6j, seg - 1e-6j])
         tri = min_enclosing_triangle(convex_hull(thick), inflate=1e-9)
-        w = optimize_weights(tri, hf_hull=convex_hull(thick), budget=20000)
+        w = optimize_weights(tri, hf_hull=convex_hull(thick))
         cheb_opt = 27.0 / 365.0
         assert w.achieved_stability <= 1.0 + 1e-8
         assert w.achieved_smoothing <= 0.12
         assert w.achieved_smoothing >= 0.9 * cheb_opt  # cannot beat the oracle
+
+    @settings(max_examples=10, deadline=None)
+    @given(a=st.floats(0.01, 10.0), ratio=st.floats(1.05, 100.0))
+    def test_thin_segment_reaches_chebyshev_optimum(self, a, ratio):
+        # on a real segment [a, b] no cubic with p(0) = 1 beats the scaled
+        # Chebyshev polynomial, whose max is 1/T3((b+a)/(b-a))
+        b = a * ratio
+        tri = Triangle(complex(a), (a + b) / 2 - 1e-6j * (b - a), complex(b))
+        w = optimize_weights(tri, np.array([a, b], dtype=complex))
+        x = (b + a) / (b - a)
+        assert w.achieved_stability <= 1.0 + 1e-8
+        assert w.achieved_smoothing <= 1.01 / (4 * x**3 - 3 * x)
 
     def test_zero_weights_are_feasible_but_not_optimal(self):
         w0 = SmootherWeights(0, 0, 0, 1.0, 1.0)
