@@ -46,6 +46,12 @@ def write_csv(path: Path, columns, rows) -> Path:
     return path
 
 
+def write_report(out_dir: Path, payload: dict) -> Path:
+    path = out_dir / "report.json"
+    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    return path
+
+
 def parse_k_spec(text: str):
     """``"40"`` -> ConstantK(40); ``"wedge:10,20,40[:0.33,0.67]"`` -> WedgeK."""
     text = text.strip()
@@ -107,10 +113,15 @@ def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemC
 def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
               write_solution: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    x, report, problem = solve(config, collect_diagnostics=diagnostics)
+    try:
+        x, report, problem = solve(config, collect_diagnostics=diagnostics)
+    except (UnstableLevelError, DivergenceError) as exc:
+        status = "unstable_level" if isinstance(exc, UnstableLevelError) else "divergence"
+        write_report(out_dir, {"config": config_summary(config), "status": status,
+                               "error": str(exc)})
+        raise
 
-    payload = {"config": config_summary(config), "report": report.to_dict()}
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    write_report(out_dir, {"config": config_summary(config), "report": report.to_dict()})
     write_csv(
         out_dir / "residuals.csv",
         RESIDUALS_COLUMNS,

@@ -144,11 +144,12 @@ class Hierarchy:
     def depth(self) -> int:
         return len(self.levels)
 
-    def smooth(self, ell: int, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def smooth(self, ell: int, u: np.ndarray, b: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+        """One smoothing step on level ``ell``; ``r`` is ``b - A u`` if known."""
         level = self.levels[ell]
         if level.kind.name == "poly3":
-            return poly3_smooth(level.op, u, b, level.jacobi_w)
-        return gmres_smooth(level.op, u, b, level.kind.m)
+            return poly3_smooth(level.op, u, b, level.jacobi_w, r)
+        return gmres_smooth(level.op, u, b, level.kind.m, r)
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
         """One V-cycle on the shifted system from a zero guess."""
@@ -231,26 +232,30 @@ def v_cycle(
     if nu_pre < 0 or nu_post < 0:
         raise ValueError("smoothing counts must be >= 0")
     b = np.asarray(b, dtype=complex)
-    if u is None:
-        u = np.zeros_like(b)
     u = _cycle(h, 0, b, u, nu_pre, nu_post, diagnostics, cycle_index)
     return u, diagnostics
 
 
 def _cycle(h, ell, b, u, nu_pre, nu_post, diag, cycle_index):
+    """One visit of level ``ell``; ``u is None`` is the zero iterate, whose
+    residual is ``b`` itself, so its first smoothing step skips an apply."""
     if ell == h.depth - 1:
         return coarse_solve(h.coarse_lu, b)
 
     op = h.levels[ell].op
+    r = None
+    if u is None:
+        u, r = np.zeros_like(b), b
     for _ in range(nu_pre):
-        u = h.smooth(ell, u, b)
-    r = op.residual(b, u)
+        u = h.smooth(ell, u, b, r)
+        r = None
+    if r is None:
+        r = op.residual(b, u)
     if not np.all(np.isfinite(r)):
         raise DivergenceError(f"divergence detected at level {ell}")
     pre_norm = float(np.linalg.norm(r)) if diag is not None else 0.0
 
-    ec = _cycle(h, ell + 1, restrict(r), np.zeros([(s - 1) // 2 for s in op.shape], dtype=complex),
-                nu_pre, nu_post, diag, cycle_index)
+    ec = _cycle(h, ell + 1, restrict(r), None, nu_pre, nu_post, diag, cycle_index)
     u = u + prolong(ec)
 
     if diag is not None:

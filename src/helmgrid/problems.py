@@ -15,9 +15,9 @@ import numpy as np
 
 from .grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field, rotate_grid
 from .krylov import fgmres, gmres_baseline
-from .multigrid import CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
+from .multigrid import COARSEST_MAX, CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
 from .smoother import SmootherKind
-from .stencil import StencilOperator
+from .stencil import DENSE_SIZE_CAP, StencilOperator
 
 __all__ = [
     "ProblemConfig",
@@ -60,6 +60,8 @@ class ProblemConfig:
     def validate(self) -> "ProblemConfig":
         if self.n < 3:
             raise ValueError(f"grid size n must be >= 3, got {self.n}")
+        if self.n % 2 == 0:
+            raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")
         for name in ("tol", "beta", "sigma_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -75,6 +77,13 @@ class ProblemConfig:
             raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
+        _, coarsest = _coarsening_depth(self.n, self.levels)
+        if coarsest * coarsest > DENSE_SIZE_CAP:
+            raise ValueError(
+                f"grid size n={self.n} with levels={self.levels} leaves a "
+                f"{coarsest}x{coarsest} coarsest level, above the dense LU cap of "
+                f"{DENSE_SIZE_CAP} unknowns"
+            )
         if self.nu_pre < 0 or self.nu_post < 0:
             raise ValueError("nu_pre and nu_post must be >= 0")
         if self.tol <= 0:
@@ -202,9 +211,10 @@ def solve_baseline(config: ProblemConfig, max_iter: int = 2000, problem: Problem
 # wave-number sweep
 
 
-def _coarsening_depth(n: int, coarsest_max: int = 9) -> tuple[int, int]:
+def _coarsening_depth(n: int, max_levels: int = 32) -> tuple[int, int]:
+    """Levels and coarsest size that :func:`build_hierarchy` reaches from n."""
     depth = 1
-    while n > coarsest_max and n % 2 == 1:
+    while depth < max_levels and n > COARSEST_MAX and n % 2 == 1:
         n = (n - 1) // 2
         depth += 1
     return depth, n
@@ -222,7 +232,7 @@ def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int
             continue
         depth, coarsest = _coarsening_depth(n)
         kh_err = abs(k / (n + 1) / target - 1.0)
-        score = (coarsest <= 9, depth, -kh_err)
+        score = (coarsest <= COARSEST_MAX, depth, -kh_err)
         if best is None or score > best[0]:
             best = (score, n)
     if best is None:

@@ -41,35 +41,48 @@ def weight_triple(weights) -> tuple[complex, complex, complex]:
     return (complex(w1), complex(w2), complex(w3))
 
 
-def damped_jacobi(op: StencilOperator, u: np.ndarray, b: np.ndarray, w: complex) -> np.ndarray:
+def damped_jacobi(
+    op: StencilOperator, u: np.ndarray, b: np.ndarray, w: complex, r: np.ndarray | None = None
+) -> np.ndarray:
     """One damped Jacobi sweep: ``u + w * Dinv * (b - A u)``.
 
-    The weighted inverse diagonal is formed once as a full-domain array so the
+    ``r``, when given, is the caller's ``b - A u`` and saves the apply.  The
+    weighted inverse diagonal is formed once as a full-domain array so the
     cache-blocked kernel can slice the identical coefficients and reproduce
-    this sweep bit for bit.
+    this sweep bit for bit.  The product is taken residual first, as the
+    kernel does: complex products round differently with swapped operands,
+    and ``r * (w / d)`` may be swapped by numpy's temporary elision.
     """
-    return u + (b - op.apply(u)) * (w / op.diag)
+    if r is None:
+        r = b - op.apply(u)
+    return u + np.multiply(r, w / op.diag)
 
 
-def poly3_smooth(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights) -> np.ndarray:
-    """Three damped Jacobi sweeps with weights w1, w2, w3, in that order."""
+def poly3_smooth(
+    op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, r: np.ndarray | None = None
+) -> np.ndarray:
+    """Three damped Jacobi sweeps with weights w1, w2, w3, in that order;
+    ``r`` is an optional known residual ``b - A u`` for the first sweep."""
     w1, w2, w3 = weight_triple(weights)
-    u = damped_jacobi(op, u, b, w1)
+    u = damped_jacobi(op, u, b, w1, r)
     u = damped_jacobi(op, u, b, w2)
     return damped_jacobi(op, u, b, w3)
 
 
-def gmres_smooth(op: StencilOperator, u: np.ndarray, b: np.ndarray, m: int = 3) -> np.ndarray:
+def gmres_smooth(
+    op: StencilOperator, u: np.ndarray, b: np.ndarray, m: int = 3, r: np.ndarray | None = None
+) -> np.ndarray:
     """GMRES(m) on the defect equation from a zero correction.
 
     Runs m Arnoldi steps (modified Gram-Schmidt, one reorthogonalization pass
     when orthogonality loss exceeds 1e-8) and returns ``u + c`` with ``c``
     minimizing ``||r0 - A c||`` over the Krylov space; stops early on happy
-    breakdown, and returns ``u`` unchanged when ``r0 = 0``.
+    breakdown, and returns ``u`` unchanged when ``r0 = 0``.  ``r``, when
+    given, is the caller's ``r0 = b - A u`` and saves the apply.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 Arnoldi steps, got {m}")
-    r0 = op.residual(b, u)
+    r0 = op.residual(b, u) if r is None else r
     beta = np.linalg.norm(r0)
     if beta == 0.0:
         return u.astype(complex, copy=True)

@@ -12,6 +12,11 @@ problem solved as a cutting-plane linear program (Streit & Nuttall, 1982),
 with |p| <= 1 - 1e-6 on triangle cuts and the high-frequency maximum within
 0.1% of the sampled optimum (see :func:`optimize_weights`).
 
+Each frozen pair's samples share one imaginary part, so :func:`convex_hull`
+keeps only the two ends of every such horizontal run before its monotone
+chain; a level's hull costs two points per pair rather than ``theta_count^2``.
+The LP rounds are the bulk of a design's time.
+
 Normalization note: samples are the operator symbol divided by the diagonal of
 its second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
 with ``hc`` the complex (gamma-scaled, stretched) spacing.  With a positive
@@ -23,6 +28,7 @@ diagonal ``4/hc^2 - s*k^2`` instead would rotate the set across the real axis.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -227,10 +233,24 @@ def convex_hull(points) -> np.ndarray:
 
     Collinear interior points are removed; a fully collinear input yields the
     two extreme points (one point if all coincide).
+
+    Before the chain runs, each row of points sharing one imaginary part is
+    cut to its two ends (an exact form of the extreme-point pre-filter of
+    Akl & Toussaint, 1978): a point strictly between the ends of a horizontal
+    run is a convex combination of them, so it is never a hull vertex.  Symbol
+    samples are built for this: every frozen (spacing, k) pair contributes
+    ``c/4 - s*k^2*hc^2/4`` with ``c`` real, one horizontal run, so a level's
+    tens of thousands of samples collapse to two points per pair.
     """
     pts = np.unique(np.asarray(points, dtype=complex))
     if pts.size < 3:
         return pts
+    by_row = np.lexsort((pts.real, pts.imag))
+    im = pts.imag[by_row]
+    new_row = im[1:] != im[:-1]
+    ends = np.zeros(pts.size, dtype=bool)
+    ends[by_row[np.concatenate(([True], new_row)) | np.concatenate((new_row, [True]))]] = True
+    pts = pts[ends]
     order = np.lexsort((pts.imag, pts.real))
     pts = pts[order]
 
@@ -282,7 +302,11 @@ def _triangle_candidates(normals: np.ndarray, offsets: np.ndarray, n_flush: int)
     lines), which is the family the area contract is stated against.
     """
     m = len(normals)
-    combos = np.array(list(itertools.combinations(range(m), 3)))
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), 3)),
+        dtype=np.intp,
+        count=3 * math.comb(m, 3),
+    ).reshape(-1, 3)
     n1, n2, n3 = normals[combos[:, 0]], normals[combos[:, 1]], normals[combos[:, 2]]
     c1, c2, c3 = offsets[combos[:, 0]], offsets[combos[:, 1]], offsets[combos[:, 2]]
     flush = np.all(combos < n_flush, axis=1)

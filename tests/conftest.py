@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helmgrid import (
     ConstantK,
@@ -12,6 +13,11 @@ from helmgrid import (
     build_wavenumber_field,
     rotate_grid,
 )
+
+# property tests draw the same examples on every run (derandomize also turns
+# off the example database), and no example is failed for its run time
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_operator(n, k, sigma_max=0.0, layer_width=None, mode="precond_grid", beta=0.5):

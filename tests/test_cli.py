@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from helmgrid import cli
 from helmgrid.cli import main, parse_k_spec, read_config_file
 from helmgrid.grid import ConstantK, WedgeK
+from helmgrid.multigrid import DivergenceError
 from helmgrid.problems import ProblemConfig, pick_grid_size
 
 
@@ -102,12 +104,44 @@ class TestSolveCommand:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, fields",
+        [
+            (["--n", "66"], ["grid size n", "odd", "66"]),
+            (["--n", "64"], ["grid size n", "odd", "64"]),
+            (["--n", "133", "--levels", "2"], ["n=133", "levels=2", "66x66"]),
+        ],
+        ids=["n66", "n64", "n133-levels2"],
+    )
+    def test_invalid_grid_size_names_field(self, tmp_path, capsys, extra, fields):
+        code = main(["solve", "--k", "10", *extra, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(f in err for f in fields)
+
     def test_setup_failure_exit_code(self, tmp_path, capsys):
         # a nearly unshifted preconditioner leaves no stable cubic on some level
         code = main(["solve", "--smoother", "poly3", "--beta", "0.01", "--n", "31",
                      "--k", "30", "--out-dir", str(tmp_path)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: unstable level")
+        err = capsys.readouterr().err
+        assert err.startswith("error: unstable level")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "unstable_level"
+        assert report["error"] == err.removeprefix("error: ").strip()
+        assert report["config"]["beta"] == 0.01
+
+    def test_divergence_writes_report(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("divergence detected at level 0")
+
+        monkeypatch.setattr(cli, "solve", diverge)
+        code = main(["solve", "--n", "15", "--k", "10", "--out-dir", str(tmp_path)])
+        assert code == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "divergence"
+        assert report["error"] == "divergence detected at level 0"
+        assert report["config"]["n"] == 15
 
     def test_nonconverged_exit_code(self, tmp_path):
         code = main(["solve", "--n", "31", "--k", "20", "--max-iter", "2",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmgrid import (
     CycleDiagnostics,
@@ -87,6 +89,21 @@ class TestTransfers:
         lhs = np.vdot(v, restrict(u))
         rhs = 0.25 * np.vdot(prolong(v), u)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    @settings(max_examples=20)
+    @given(nx=st.integers(1, 15).map(lambda c: 2 * c + 1),
+           ny=st.integers(1, 15).map(lambda c: 2 * c + 1))
+    def test_restrict_is_quarter_prolong_transpose(self, nx, ny):
+        def dense(transfer, shape):
+            cols = []
+            for j in range(shape[0] * shape[1]):
+                e = np.zeros(shape)
+                e.flat[j] = 1.0
+                cols.append(transfer(e).ravel())
+            return np.array(cols).T
+
+        coarse = ((nx - 1) // 2, (ny - 1) // 2)
+        assert np.array_equal(dense(restrict, (nx, ny)), dense(prolong, coarse).T / 4)
 
     def test_restrict_requires_odd(self):
         with pytest.raises(ValueError, match="odd"):

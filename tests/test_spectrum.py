@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
+    ConstantK,
+    ProblemConfig,
     StencilOperator,
     Triangle,
+    WedgeK,
     build_stretched_grid,
     convex_hull,
     min_enclosing_triangle,
@@ -20,8 +23,10 @@ from helmgrid.grid import WavenumberField
 from helmgrid.spectrum import (
     ResonantDiagonalError,
     SmootherWeights,
+    _cross,
     polygon_boundary_points,
 )
+from helmgrid.problems import setup_problem
 from tests.conftest import make_operator
 
 
@@ -62,6 +67,54 @@ def oracle_min_flush_area(hull):
         )
         best = min(best, area)
     return best
+
+
+def reference_hull(points):
+    """Monotone chain over every distinct point, with no row pre-filter."""
+    pts = np.unique(np.asarray(points, dtype=complex))
+    if pts.size < 3:
+        return pts
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-1] - out[-2], p - out[-2]) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1], dtype=complex)
+    if hull.size < 3:
+        return np.array([pts[0], pts[-1]]) if pts.size > 1 else pts[:1]
+    return hull
+
+
+# Coordinates on a 1/8 grid keep every cross product of the chain exact.  With
+# arbitrary floats the two chains may break rounding ties differently: on
+# {-1, 1e-65-1j, -1j, 1-1j} the reference's cross product at 1e-65-1j rounds
+# to 0 and pops the true vertex -1j, which the row pre-filter keeps.
+_coord = st.integers(-64, 64).map(lambda i: i / 8)
+
+
+@st.composite
+def row_points(draw):
+    """Points on few horizontal rows, with repeated real parts (duplicates)."""
+    ims = draw(st.lists(_coord, min_size=1, max_size=4))
+    res = draw(st.lists(_coord, min_size=1, max_size=8))
+    count = draw(st.integers(1, 40))
+    pick_re = draw(st.lists(st.integers(0, len(res) - 1), min_size=count, max_size=count))
+    pick_im = draw(st.lists(st.integers(0, len(ims) - 1), min_size=count, max_size=count))
+    return np.array(res)[pick_re] + 1j * np.array(ims)[pick_im]
+
+
+@st.composite
+def collinear_points(draw):
+    """Integer multiples of one direction from one origin (exact arithmetic)."""
+    step = complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    origin = complex(draw(st.integers(-5, 5)), draw(st.integers(-5, 5)))
+    ts = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=20))
+    return origin + step * np.array(ts, dtype=float)
 
 
 class TestSymbolSamples:
@@ -157,6 +210,23 @@ class TestConvexHull:
             for i in range(len(hull))
         )
         assert area2 > 0
+
+
+    @settings(max_examples=200)
+    @given(pts=st.one_of(row_points(), collinear_points()))
+    def test_row_prefilter_matches_reference_chain(self, pts):
+        assert np.array_equal(convex_hull(pts), reference_hull(pts))
+
+    @pytest.mark.parametrize(
+        "precond, k",
+        [("grid", ConstantK(40.0)), ("csl", ConstantK(40.0)), ("grid", WedgeK(10.0, 20.0, 40.0))],
+    )
+    def test_level_hulls_match_reference_chain(self, precond, k):
+        problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
+        for ell, level in enumerate(problem.hierarchy.levels):
+            samples = symbol_samples(level.op, level=ell)
+            for pts in (samples.points, samples.hf_points, np.conj(samples.hf_points)):
+                assert np.array_equal(convex_hull(pts), reference_hull(pts))
 
 
 class TestMinEnclosingTriangle:
