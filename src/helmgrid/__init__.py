@@ -15,7 +15,7 @@ from .grid import (
     build_wavenumber_field,
     rotate_grid,
 )
-from .krylov import SolveReport, fgmres, gmres_baseline
+from .krylov import SolveReport, fgmres
 from .multigrid import (
     CycleDiagnostics,
     Hierarchy,

@@ -11,7 +11,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .blocked import TilePlan, bench
@@ -81,32 +82,24 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"n", "layer_width", "levels", "nu_pre", "nu_post", "restart", "max_iter", "seed"}
-_FLOAT_KEYS = {"sigma_max", "beta", "tol"}
-_STR_KEYS = {"smoother", "precond", "rhs", "ramp"}
+# the config schema: a parser per ProblemConfig field, from its type
+# (``int | None`` parses as int; ``k`` is a spec string, see parse_k_spec)
+_PARSERS = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(ProblemConfig).items()
+}
+_PARSERS["k"] = parse_k_spec
 
 
 def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemConfig:
-    config = ProblemConfig()
-    for key, value in file_values.items():
-        if key == "k":
-            config = replace(config, k=parse_k_spec(value))
-        elif key in _INT_KEYS:
-            config = replace(config, **{key: int(value)})
-        elif key in _FLOAT_KEYS:
-            config = replace(config, **{key: float(value)})
-        elif key in _STR_KEYS:
-            config = replace(config, **{key: value})
-        else:
+    values = dict(file_values)
+    for key in values:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-    overrides = {}
-    for key in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = parse_k_spec(args.k)
-    config = replace(config, **overrides)
+    for key in _PARSERS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    config = replace(ProblemConfig(), **{key: _PARSERS[key](v) for key, v in values.items()})
     return config.validate()
 
 
@@ -234,30 +227,16 @@ def run_bench(config: ProblemConfig, tiles: str, repetitions: int, out_dir: Path
 
 
 def config_summary(config: ProblemConfig) -> dict:
+    """Every config field, for ``report.json``; ``k`` as a description."""
+    summary = {f.name: getattr(config, f.name) for f in fields(config)}
     k = config.k
-    k_desc = (
+    summary["k"] = (
         {"kind": "constant", "k0": k.k0}
         if isinstance(k, ConstantK)
         else {"kind": "wedge", "k_top": k.k_top, "k_mid": k.k_mid, "k_bot": k.k_bot,
               "interfaces": list(k.interfaces)}
     )
-    return {
-        "n": config.n,
-        "k": k_desc,
-        "layer_width": config.layer_width,
-        "sigma_max": config.sigma_max,
-        "beta": config.beta,
-        "precond": config.precond,
-        "smoother": config.smoother,
-        "levels": config.levels,
-        "nu_pre": config.nu_pre,
-        "nu_post": config.nu_post,
-        "tol": config.tol,
-        "restart": config.restart,
-        "max_iter": config.max_iter,
-        "rhs": config.rhs,
-        "seed": config.seed,
-    }
+    return summary
 
 
 def _add_common_flags(p: argparse.ArgumentParser):

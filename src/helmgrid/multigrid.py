@@ -151,11 +151,6 @@ class Hierarchy:
             return poly3_smooth(level.op, u, b, level.jacobi_w, r)
         return gmres_smooth(level.op, u, b, level.kind.m, r)
 
-    def precondition(self, v: np.ndarray) -> np.ndarray:
-        """One V-cycle on the shifted system from a zero guess."""
-        u, _ = v_cycle(self, v)
-        return u
-
 
 def build_hierarchy(
     fine: StencilOperator,
@@ -172,6 +167,10 @@ def build_hierarchy(
     every level when the smoother is ``poly3`` (the damped-Jacobi weights that
     realize the design are stored alongside), or on request via
     ``with_designs``; an unstable level raises from the weight optimizer.
+    Coarsening stops after ``max_levels`` levels, once a side is at most
+    ``coarsest_max``, or at an even size; the coarsest level, whatever its
+    size, is factored by dense LU, whose assembly raises above
+    ``DENSE_SIZE_CAP`` unknowns.
     """
     if smoother is None:
         smoother = SmootherKind("gmres", 3)
@@ -191,10 +190,6 @@ def build_hierarchy(
         kf = coarsen_field(op.k_field)
         op = StencilOperator(g, kf, mode=op.mode, csl_beta=op.csl_beta)
         ops.append(op)
-    if min(ops[-1].shape) > coarsest_max and len(ops) == max_levels:
-        raise ValueError(
-            f"insufficient levels: coarsest is {ops[-1].shape} with max_levels={max_levels}"
-        )
 
     levels = []
     for ell, op in enumerate(ops):

@@ -13,8 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field, rotate_grid
-from .krylov import fgmres, gmres_baseline
+from .grid import (
+    ConstantK,
+    WedgeK,
+    build_stretched_grid,
+    build_wavenumber_field,
+    default_layer_width,
+    rotate_grid,
+)
+from .krylov import fgmres
 from .multigrid import COARSEST_MAX, CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
 from .smoother import SmootherKind
 from .stencil import DENSE_SIZE_CAP, StencilOperator
@@ -73,6 +80,18 @@ class ProblemConfig:
             raise ValueError(f"layer_width must be in [0, n/4], got {self.layer_width}")
         if self.precond not in ("grid", "csl"):
             raise ValueError(f"precond must be 'grid' or 'csl', got {self.precond!r}")
+        layer = default_layer_width(self.n) if self.layer_width is None else self.layer_width
+        if self.precond == "grid" and layer > 0:
+            # the outermost layer spacing h(1 + i sigma_max), rotated by
+            # gamma = sqrt(1 + i beta), has real part h(Re gamma - sigma_max Im gamma)
+            gamma = np.sqrt(1.0 + 1j * self.beta)
+            limit = gamma.real / gamma.imag
+            if self.sigma_max >= limit:
+                raise ValueError(
+                    f"sigma_max={self.sigma_max} with beta={self.beta} gives the rotated "
+                    f"layer spacing a non-positive real part; precond 'grid' needs "
+                    f"sigma_max < {limit:.4g} at this beta (or use precond 'csl')"
+                )
         if self.smoother not in ("poly3", "gmres3"):
             raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
         if self.levels < 1:
@@ -204,7 +223,7 @@ def solve_baseline(config: ProblemConfig, max_iter: int = 2000, problem: Problem
         b = make_rhs(config)
     else:
         a_op, b = problem.physical_op, problem.b
-    return gmres_baseline(a_op.apply, b, tol=config.tol, restart=config.restart, max_iter=max_iter)
+    return fgmres(a_op.apply, None, b, tol=config.tol, restart=config.restart, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The cubic smoother applies damped Jacobi with three different complex weights;
 its error propagation is the cubic ``p(Dinv A)`` in the Jacobi-preconditioned
 operator.  The GMRES smoother solves the defect equation ``A c = r0`` with a
-zero initial correction and m Arnoldi steps, picking its own coefficients
-anew at every call, so it is not a fixed linear operator across calls.
+zero initial correction by one restart cycle of the outer solver's Arnoldi
+process (``krylov``), m steps long; it picks its own coefficients anew at
+every call, so it is not a fixed linear operator across calls.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .krylov import _arnoldi_cycle
 from .spectrum import SmootherWeights
 from .stencil import StencilOperator
 
@@ -74,43 +76,13 @@ def gmres_smooth(
 ) -> np.ndarray:
     """GMRES(m) on the defect equation from a zero correction.
 
-    Runs m Arnoldi steps (modified Gram-Schmidt, one reorthogonalization pass
-    when orthogonality loss exceeds 1e-8) and returns ``u + c`` with ``c``
-    minimizing ``||r0 - A c||`` over the Krylov space; stops early on happy
-    breakdown, and returns ``u`` unchanged when ``r0 = 0``.  ``r``, when
-    given, is the caller's ``r0 = b - A u`` and saves the apply.
+    One restart cycle of the FGMRES Arnoldi process (no preconditioner, no
+    stop target): returns ``u + c`` with ``c`` minimizing ``||r0 - A c||``
+    over the m-step Krylov space, fewer steps on breakdown, and ``u`` when
+    ``r0 = 0``.  ``r``, when given, is the caller's ``r0 = b - A u`` and
+    saves the apply.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 Arnoldi steps, got {m}")
     r0 = op.residual(b, u) if r is None else r
-    beta = np.linalg.norm(r0)
-    if beta == 0.0:
-        return u.astype(complex, copy=True)
-
-    vs = [r0 / beta]
-    h = np.zeros((m + 1, m), dtype=complex)
-    k_done = 0
-    for k in range(m):
-        w = op.apply(vs[k])
-        norm_before = np.linalg.norm(w)
-        for j in range(k + 1):
-            h[j, k] = np.vdot(vs[j], w)
-            w -= h[j, k] * vs[j]
-        if np.linalg.norm(w) < 1e-8 * norm_before:
-            for j in range(k + 1):
-                corr = np.vdot(vs[j], w)
-                h[j, k] += corr
-                w -= corr * vs[j]
-        h[k + 1, k] = np.linalg.norm(w)
-        k_done = k + 1
-        if h[k + 1, k] < 1e-14 * max(beta, 1.0):
-            break  # happy breakdown: Krylov space is invariant
-        vs.append(w / h[k + 1, k])
-
-    e1 = np.zeros(k_done + 1, dtype=complex)
-    e1[0] = beta
-    y, *_ = np.linalg.lstsq(h[: k_done + 1, :k_done], e1, rcond=None)
-    c = np.zeros_like(r0)
-    for j in range(k_done):
-        c += y[j] * vs[j]
-    return u + c
+    return _arnoldi_cycle(op.apply, None, u, r0, m)[0]

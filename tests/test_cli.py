@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -52,6 +53,23 @@ class TestParsing:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["max_iter"] == 100
         assert report["config"]["n"] == 15
+
+    def test_every_field_round_trips_to_report(self, tmp_path):
+        values = {
+            "n": 31, "k": "wedge:10,20,30", "layer_width": 3, "sigma_max": 0.5,
+            "ramp": "linear", "beta": 0.6, "precond": "csl", "smoother": "gmres3",
+            "levels": 3, "nu_pre": 2, "nu_post": 0, "tol": 1e-5, "restart": 15,
+            "max_iter": 300, "rhs": "random", "seed": 4, "theta_count": 32,
+        }
+        assert set(values) == {f.name for f in fields(ProblemConfig)}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert set(echo) == set(values)
+        assert echo.pop("k") == {"kind": "wedge", "k_top": 10.0, "k_mid": 20.0, "k_bot": 30.0,
+                                 "interfaces": [1 / 3, 2 / 3]}
+        assert echo == {key: value for key, value in values.items() if key != "k"}
 
     def test_pick_grid_size(self):
         assert pick_grid_size(10.0) == 15
@@ -118,6 +136,28 @@ class TestSolveCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert all(f in err for f in fields)
+
+    @pytest.mark.parametrize(
+        "extra", [["--sigma-max", "5"], ["--sigma-max", "2", "--beta", "3"]],
+        ids=["sigma5-beta0.5", "sigma2-beta3"],
+    )
+    def test_layer_past_rotation_names_fields(self, tmp_path, capsys, extra):
+        # h(1 + i sigma_max) * sqrt(1 + i beta) loses its positive real part
+        code = main(["solve", "--n", "31", "--k", "20", *extra, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sigma_max" in err and "beta" in err
+
+    def test_large_sigma_max_solves_with_csl(self, tmp_path):
+        code = main(["solve", "--n", "31", "--k", "20", "--sigma-max", "5", "--precond", "csl",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+
+    def test_levels_cap_within_dense_cap_solves(self, tmp_path):
+        # coarsening stops at levels=2 on a 31x31 level, within the dense LU cap
+        code = main(["solve", "--n", "63", "--levels", "2", "--k", "40",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
 
     def test_setup_failure_exit_code(self, tmp_path, capsys):
         # a nearly unshifted preconditioner leaves no stable cubic on some level

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helmgrid import (
     build_hierarchy,
     fgmres,
-    gmres_baseline,
     make_preconditioner,
     v_cycle,
 )
@@ -111,6 +112,41 @@ class TestFgmres:
         np.testing.assert_allclose(report.residual_history[:m], hist_ref[:m], rtol=1e-8, atol=1e-10)
         assert np.linalg.norm(op_a.vec(x) - x_ref) <= 1e-10 * max(np.linalg.norm(x_ref), 1)
 
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(2, 12),
+        restart=st.integers(1, 12),
+        shift=st.floats(1.5, 3.0),
+        preconditioned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_small_systems_match_reference_gmres(
+        self, n, restart, shift, preconditioned, seed
+    ):
+        # a positive definite Hermitian part of A M makes every GMRES step
+        # reduce the residual, so neither solver stagnates before max_iter
+        rng = np.random.default_rng(seed)
+
+        def gaussian():
+            return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+        a = shift * np.eye(n) + gaussian()
+        m = np.linalg.inv(a + 0.5 * gaussian()) if preconditioned else np.eye(n)
+        am = a @ m
+        assume(np.linalg.eigvalsh((am + am.conj().T) / 2).min() > 1e-3)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        restart = min(restart, n)
+        x, report = fgmres(
+            lambda v: a @ v, (lambda v: m @ v) if preconditioned else None, b,
+            tol=1e-9, restart=restart, max_iter=40,
+        )
+        x_ref, hist_ref, _ = reference_right_preconditioned_gmres(
+            a, m, b, tol=1e-9, restart=restart, max_iter=40
+        )
+        assert report.iterations == len(hist_ref) - 1
+        np.testing.assert_allclose(report.residual_history, hist_ref, rtol=0, atol=1e-8)
+        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
     def test_maxiter_status(self):
         op_a = make_operator(31, 20.0, mode="physical")
         b = random_field((31, 31), seed=4)
@@ -143,12 +179,12 @@ class TestFgmres:
 class TestBaseline:
     def test_scaled_identity_one_iteration(self):
         b = random_field((5, 5), seed=5)
-        x, report = gmres_baseline(lambda v: 2.0 * v, b, tol=1e-10)
+        x, report = fgmres(lambda v: 2.0 * v, None, b, tol=1e-10)
         assert report.iterations == 1
         np.testing.assert_allclose(x, b / 2.0, rtol=1e-12)
 
     def test_zero_rhs(self):
-        x, report = gmres_baseline(lambda v: v, np.zeros(7, dtype=complex))
+        x, report = fgmres(lambda v: v, None, np.zeros(7, dtype=complex))
         assert report.converged and report.iterations == 0
 
     def test_full_restart_matches_optimal_krylov_residual(self):
@@ -159,7 +195,7 @@ class TestBaseline:
         a = op.assemble_dense()
         b = random_field((6, 6), seed=6)
         bv = op.vec(b)
-        _, report = gmres_baseline(op.apply, b, tol=1e-30, restart=n, max_iter=12)
+        _, report = fgmres(op.apply, None, b, tol=1e-30, restart=n, max_iter=12)
         h = np.asarray(report.residual_history)
         assert np.all(np.diff(h) <= 1e-10)
         krylov = [bv]
@@ -175,7 +211,7 @@ class TestBaseline:
 class TestReport:
     def test_json_roundtrip(self):
         b = random_field((5, 5), seed=7)
-        _, report = gmres_baseline(lambda v: 2.0 * v, b)
+        _, report = fgmres(lambda v: 2.0 * v, None, b)
         parsed = json.loads(report.to_json())
         assert parsed["converged"] is True
         assert parsed["iterations"] == report.iterations

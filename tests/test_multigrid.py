@@ -49,9 +49,12 @@ class TestCoarsening:
         for level in hier31_poly3.levels:
             assert np.max(level.design.triangle.vertices.imag) <= 1e-12
 
-    def test_insufficient_levels_rejected(self):
-        with pytest.raises(ValueError, match="insufficient"):
-            build_hierarchy(make_operator(63, 20.0), max_levels=2)
+    def test_level_cap_bounded_by_dense_cap_alone(self):
+        h = build_hierarchy(make_operator(63, 20.0), max_levels=2)
+        assert h.depth == 2
+        assert h.levels[-1].shape == (31, 31)
+        with pytest.raises(ValueError, match="dense assembly capped"):
+            build_hierarchy(make_operator(131, 20.0), max_levels=2)
 
 
 class TestTransfers:

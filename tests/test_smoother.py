@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmgrid import (
     SmootherKind,
@@ -14,6 +16,42 @@ from helmgrid import (
 )
 from helmgrid.spectrum import jacobi_weights_for
 from tests.conftest import make_operator, random_field
+
+
+def reference_gmres_smooth(op, u, b, m=3):
+    """The earlier GMRES(m) smoother: its own modified Gram-Schmidt Arnoldi
+    with one reorthogonalization pass and a dense ``lstsq`` solve (oracle for
+    the smoother built on the shared FGMRES cycle)."""
+    r0 = op.residual(b, u)
+    beta = np.linalg.norm(r0)
+    if beta == 0.0:
+        return u.astype(complex, copy=True)
+    vs = [r0 / beta]
+    h = np.zeros((m + 1, m), dtype=complex)
+    k_done = 0
+    for k in range(m):
+        w = op.apply(vs[k])
+        norm_before = np.linalg.norm(w)
+        for j in range(k + 1):
+            h[j, k] = np.vdot(vs[j], w)
+            w -= h[j, k] * vs[j]
+        if np.linalg.norm(w) < 1e-8 * norm_before:
+            for j in range(k + 1):
+                corr = np.vdot(vs[j], w)
+                h[j, k] += corr
+                w -= corr * vs[j]
+        h[k + 1, k] = np.linalg.norm(w)
+        k_done = k + 1
+        if h[k + 1, k] < 1e-14 * max(beta, 1.0):
+            break
+        vs.append(w / h[k + 1, k])
+    e1 = np.zeros(k_done + 1, dtype=complex)
+    e1[0] = beta
+    y, *_ = np.linalg.lstsq(h[: k_done + 1, :k_done], e1, rcond=None)
+    c = np.zeros_like(r0)
+    for j in range(k_done):
+        c += y[j] * vs[j]
+    return u + c
 
 
 def dense_parts(op):
@@ -128,6 +166,23 @@ class TestGmresSmooth:
         c2 = gmres_smooth(op31, z, b2, 3)
         c12 = gmres_smooth(op31, z, b1 + b2, 3)
         assert np.max(np.abs(c12 - (c1 + c2))) > 1e-6 * np.max(np.abs(c12))
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(3, 12),
+        k=st.floats(1.0, 20.0),
+        sigma_max=st.sampled_from([0.0, 0.5, 1.0]),
+        mode=st.sampled_from(["precond_grid", "precond_csl", "physical"]),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_smoother(self, n, k, sigma_max, mode, m, seed):
+        op = make_operator(n, k, sigma_max=sigma_max, mode=mode)
+        u = random_field((n, n), seed=seed)
+        b = random_field((n, n), seed=seed + 1)
+        got = np.linalg.norm(op.residual(b, gmres_smooth(op, u, b, m)))
+        want = np.linalg.norm(op.residual(b, reference_gmres_smooth(op, u, b, m)))
+        assert abs(got - want) <= 1e-10 * want
 
     def test_zero_defect_returns_input(self, op31):
         z = np.zeros((31, 31), dtype=complex)
