@@ -23,7 +23,7 @@ from helmgrid import (
 
 g = build_stretched_grid(31, sigma_max=1.0)
 kf = build_wavenumber_field(ConstantK(20.0), g)
-op = StencilOperator(rotate_grid(g, 0.5), kf, mode="precond_grid")
+op = StencilOperator(rotate_grid(g, 0.5), kf)
 hier = build_hierarchy(op, smoother=SmootherKind("poly3"))
 
 print("level-by-level spectral design (k = 20, beta = 0.5, sigma_max = 1):")

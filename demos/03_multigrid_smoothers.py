@@ -22,7 +22,7 @@ from helmgrid import (
 n, k = 63, 20.0
 g = build_stretched_grid(n, layer_width=0, sigma_max=0.0)
 kf = build_wavenumber_field(ConstantK(k), g)
-op = StencilOperator(rotate_grid(g, 0.5), kf, mode="precond_grid")
+op = StencilOperator(rotate_grid(g, 0.5), kf)
 
 rng = np.random.default_rng(1)
 u_star = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -26,7 +26,7 @@ from helmgrid.spectrum import jacobi_weights_for
 n = 129
 g = build_stretched_grid(n, sigma_max=1.0)
 kf = build_wavenumber_field(ConstantK(40.0), g)
-op = StencilOperator(rotate_grid(g, 0.5), kf, mode="precond_grid")
+op = StencilOperator(rotate_grid(g, 0.5), kf)
 weights = jacobi_weights_for(design_for_operator(op), op)
 
 rng = np.random.default_rng(0)

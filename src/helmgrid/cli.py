@@ -18,7 +18,7 @@ from pathlib import Path
 from .blocked import TilePlan, bench
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, shifted_operator, solve, sweep
+from .problems import DEFAULT_PPW, ProblemConfig, build_operators, setup_problem, solve, sweep
 from .spectrum import UnstableLevelError, design_for_operator, jacobi_weights_for, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
@@ -205,7 +205,7 @@ def parse_tiles(text: str, n: int):
 
 def run_bench(config: ProblemConfig, tiles: str, repetitions: int, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    op = shifted_operator(config)
+    _, op = build_operators(config)
     design = design_for_operator(op, theta_count=config.theta_count)
     weights = jacobi_weights_for(design, op)
     plans = parse_tiles(tiles, config.n)

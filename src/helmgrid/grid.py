@@ -2,13 +2,14 @@
 
 The domain is (0,1)^2 with homogeneous Dirichlet exterior values.  Absorbing
 behaviour comes entirely from stretching the grid spacings into the complex
-plane near the boundary; the preconditioner grid is the physical grid rotated
-by a single global complex factor gamma = sqrt(1 + i*beta).
+plane near the boundary.  The shifted-grid preconditioner runs on the physical
+grid rotated by a single global complex factor gamma = sqrt(1 + i*beta); a
+grid records that factor, and gamma = 1 marks the unrotated physical grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +24,6 @@ __all__ = [
     "default_layer_width",
 ]
 
-GRID_KINDS = ("physical", "precond_grid", "precond_csl")
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexGrid:
@@ -32,20 +31,17 @@ class ComplexGrid:
 
     ``spacing_x`` has length ``n_x + 1``: the intervals between the n_x
     interior nodes and the two Dirichlet boundary nodes.  All spacings must
-    have positive real part.  For ``kind="precond_grid"`` every spacing is the
+    have positive real part.  On a rotated grid every spacing is the
     corresponding physical spacing times one global factor ``gamma``.
     """
 
     spacing_x: np.ndarray
     spacing_y: np.ndarray
-    kind: str = "physical"
     gamma: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         object.__setattr__(self, "spacing_x", np.asarray(self.spacing_x, dtype=complex))
         object.__setattr__(self, "spacing_y", np.asarray(self.spacing_y, dtype=complex))
-        if self.kind not in GRID_KINDS:
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         for name, s in (("spacing_x", self.spacing_x), ("spacing_y", self.spacing_y)):
             if s.ndim != 1 or s.size < 2:
                 raise ValueError(f"{name} must be a 1D array with >= 2 intervals")
@@ -63,10 +59,6 @@ class ComplexGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_x, self.n_y)
-
-    def with_kind(self, kind: str) -> "ComplexGrid":
-        """Same geometry relabelled, e.g. tagging the CSL preconditioner grid."""
-        return replace(self, kind=kind)
 
     def nodes_x(self) -> np.ndarray:
         """Complex coordinates of the n_x interior nodes (origin at 0)."""
@@ -138,7 +130,7 @@ def build_stretched_grid(
     h = 1.0 / (n + 1)
     sigma = _layer_sigma(n, layer_width, sigma_max, ramp)
     spacing = h * (1.0 + 1j * sigma)
-    return ComplexGrid(spacing_x=spacing, spacing_y=spacing.copy(), kind="physical")
+    return ComplexGrid(spacing_x=spacing, spacing_y=spacing.copy())
 
 
 def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
@@ -147,15 +139,14 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
     Every spacing is multiplied by the principal square root
     ``gamma = sqrt(1 + 1j*beta)``; the factor is recorded on the result.
     """
-    if g.kind != "physical":
-        raise ValueError(f"rotate_grid requires a physical grid, got kind={g.kind!r}")
+    if g.gamma != 1:
+        raise ValueError(f"rotate_grid requires a physical grid, got gamma={g.gamma}")
     if beta <= 0:
         raise ValueError(f"shift beta must be > 0, got {beta}")
     gamma = np.sqrt(1.0 + 1j * beta)
     return ComplexGrid(
         spacing_x=g.spacing_x * gamma,
         spacing_y=g.spacing_y * gamma,
-        kind="precond_grid",
         gamma=complex(gamma),
     )
 
@@ -191,7 +182,6 @@ class WavenumberField:
     """
 
     values: np.ndarray
-    spec: object = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -207,7 +197,7 @@ def build_wavenumber_field(spec: ConstantK | WedgeK, g: ComplexGrid) -> Wavenumb
     if isinstance(spec, ConstantK):
         if spec.k0 <= 0:
             raise ValueError(f"constant k must be positive, got {spec.k0}")
-        return WavenumberField(np.full((n_x, n_y), spec.k0), spec=spec)
+        return WavenumberField(np.full((n_x, n_y), spec.k0))
     if isinstance(spec, WedgeK):
         for name, k in (("k_top", spec.k_top), ("k_mid", spec.k_mid), ("k_bot", spec.k_bot)):
             if k <= 0:
@@ -221,5 +211,5 @@ def build_wavenumber_field(spec: ConstantK | WedgeK, g: ComplexGrid) -> Wavenumb
         values = np.full((n_x, n_y), spec.k_mid)
         values[:, y <= a] = spec.k_top
         values[:, y >= b] = spec.k_bot
-        return WavenumberField(values, spec=spec)
+        return WavenumberField(values)
     raise TypeError(f"unknown wavenumber spec {type(spec).__name__}")

@@ -3,9 +3,9 @@
 Coarse levels are rediscretizations on the coarsened complex grid: every
 other node is retained and spacings are summed pairwise, which preserves the
 complex stretch and the global rotation factor exactly; the wavenumber field
-is restricted by injection at coincident nodes.  Transfers are full weighting
-and bilinear interpolation on the index lattice; the coarsest level is solved
-by dense LU.
+is restricted by injection at coincident nodes, and every level keeps the fine
+operator's complex shift.  Transfers are full weighting and bilinear
+interpolation on the index lattice; the coarsest level is solved by dense LU.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ def coarsen_grid(g: ComplexGrid) -> ComplexGrid:
     return ComplexGrid(
         spacing_x=sx[0::2] + sx[1::2],
         spacing_y=sy[0::2] + sy[1::2],
-        kind=g.kind,
         gamma=g.gamma,
     )
 
 
 def coarsen_field(f: WavenumberField) -> WavenumberField:
     """Injection at the nodes the coarse grid shares with the fine grid."""
-    return WavenumberField(f.values[1::2, 1::2], spec=f.spec)
+    return WavenumberField(f.values[1::2, 1::2])
 
 
 def restrict(fine: np.ndarray) -> np.ndarray:
@@ -188,7 +187,7 @@ def build_hierarchy(
     ):
         g = coarsen_grid(op.grid)
         kf = coarsen_field(op.k_field)
-        op = StencilOperator(g, kf, mode=op.mode, csl_beta=op.csl_beta)
+        op = StencilOperator(g, kf, op.shift)
         ops.append(op)
 
     levels = []

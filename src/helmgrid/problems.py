@@ -4,6 +4,7 @@ The physical problem is the Helmholtz equation on the unit square with a
 complex-scaled absorbing layer; the preconditioner is one V-cycle of multigrid
 on the same problem discretized on a complex-shifted grid (or, equivalently up
 to a scalar, with a complex-shifted Laplacian), driven by outer FGMRES.
+:func:`build_operators` builds both operators from one grid and k-field.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .stencil import DENSE_SIZE_CAP, StencilOperator
 __all__ = [
     "ProblemConfig",
     "Problem",
+    "build_operators",
     "setup_problem",
-    "shifted_operator",
     "make_preconditioner",
     "solve",
     "solve_baseline",
@@ -115,8 +116,10 @@ class ProblemConfig:
             raise ValueError(f"rhs must be 'point' or 'random', got {self.rhs!r}")
         if self.theta_count < 8:
             raise ValueError(f"theta_count must be >= 8, got {self.theta_count}")
-        if isinstance(self.k, ConstantK) and self.k.k0 <= 0:
-            raise ValueError(f"wave number k must be positive, got {self.k.k0}")
+        k = self.k
+        ks = (k.k0,) if isinstance(k, ConstantK) else (k.k_top, k.k_mid, k.k_bot)
+        if not all(np.isfinite(v) and v > 0 for v in ks):
+            raise ValueError(f"wave number k must be finite and positive, got {k}")
         return self
 
     def smoother_kind(self) -> SmootherKind:
@@ -127,33 +130,26 @@ class ProblemConfig:
 class Problem:
     config: ProblemConfig
     physical_op: StencilOperator
-    shifted_op: StencilOperator
     hierarchy: Hierarchy
     b: np.ndarray
 
 
-def shifted_operator(config: ProblemConfig) -> StencilOperator:
-    """The preconditioner-side operator alone (complex-shifted grid or CSL)."""
-    config = config.validate()
+def build_operators(config: ProblemConfig) -> tuple[StencilOperator, StencilOperator]:
+    """``(physical_op, shifted_op)`` on one stretched grid and k-field: the
+    shifted operator is the rotated grid (``precond = "grid"``) or the
+    complex shift ``1 + i*beta`` (``"csl"``)."""
+    config.validate()
     g = build_stretched_grid(config.n, config.layer_width, config.sigma_max, config.ramp)
     kf = build_wavenumber_field(config.k, g)
+    physical_op = StencilOperator(g, kf)
     if config.precond == "grid":
-        return StencilOperator(rotate_grid(g, config.beta), kf, mode="precond_grid")
-    return StencilOperator(g.with_kind("precond_csl"), kf, mode="precond_csl", csl_beta=config.beta)
+        return physical_op, StencilOperator(rotate_grid(g, config.beta), kf)
+    return physical_op, StencilOperator(g, kf, 1 + 1j * config.beta)
 
 
 def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Problem:
     """Grids, operators, hierarchy and right-hand side for one configuration."""
-    config = config.validate()
-    g = build_stretched_grid(config.n, config.layer_width, config.sigma_max, config.ramp)
-    kf = build_wavenumber_field(config.k, g)
-    a_op = StencilOperator(g, kf, mode="physical")
-    if config.precond == "grid":
-        m_op = StencilOperator(rotate_grid(g, config.beta), kf, mode="precond_grid")
-    else:
-        m_op = StencilOperator(
-            g.with_kind("precond_csl"), kf, mode="precond_csl", csl_beta=config.beta
-        )
+    a_op, m_op = build_operators(config)
     hierarchy = build_hierarchy(
         m_op,
         smoother=config.smoother_kind(),
@@ -166,7 +162,6 @@ def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Pr
     return Problem(
         config=config,
         physical_op=a_op,
-        shifted_op=m_op,
         hierarchy=hierarchy,
         b=make_rhs(config),
     )
@@ -216,10 +211,7 @@ def solve(
 def solve_baseline(config: ProblemConfig, max_iter: int = 2000, problem: Problem | None = None):
     """Unpreconditioned restarted GMRES on the same physical system."""
     if problem is None:
-        config = config.validate()
-        g = build_stretched_grid(config.n, config.layer_width, config.sigma_max, config.ramp)
-        kf = build_wavenumber_field(config.k, g)
-        a_op = StencilOperator(g, kf, mode="physical")
+        a_op, _ = build_operators(config)
         b = make_rhs(config)
     else:
         a_op, b = problem.physical_op, problem.b

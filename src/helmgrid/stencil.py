@@ -2,9 +2,14 @@
 
 The operator is ``A u = -D2_x u - D2_y u - s * k^2 * u`` with the standard
 3-point second difference on (possibly complex) non-uniform spacings and
-homogeneous Dirichlet values eliminated.  ``s`` is 1 in ``physical`` and
-``precond_grid`` modes and ``1 + 1j*csl_beta`` in ``precond_csl`` mode, which
-is the complex shifted Laplacian.
+homogeneous Dirichlet values eliminated.  An operator is a grid, a wavenumber
+field and the complex shift ``s``; the three flavours are
+
+- physical: the stretched grid with ``s = 1``;
+- shifted grid: the grid rotated by ``gamma = sqrt(1 + i*beta)``, ``s = 1``;
+- complex shifted Laplacian (CSL): the stretched grid with ``s = 1 + i*beta``.
+
+The last two agree up to the scalar ``gamma^2 = 1 + i*beta``.
 
 Unknown ordering for dense assembly is lexicographic with x fastest.
 """
@@ -19,12 +24,6 @@ __all__ = ["StencilOperator", "DENSE_SIZE_CAP"]
 
 DENSE_SIZE_CAP = 4096
 
-_MODE_GRID_KINDS = {
-    "physical": ("physical",),
-    "precond_grid": ("precond_grid",),
-    "precond_csl": ("physical", "precond_csl"),
-}
-
 
 def _second_difference_coeffs(spacing: np.ndarray):
     """Per-node coefficients of -(D2 u): (diag, left, right) along one axis."""
@@ -37,34 +36,17 @@ def _second_difference_coeffs(spacing: np.ndarray):
 
 
 class StencilOperator:
-    """Helmholtz stencil bound to a grid, a wavenumber field and a mode."""
+    """Helmholtz stencil bound to a grid, a wavenumber field and a complex shift."""
 
-    def __init__(
-        self,
-        grid: ComplexGrid,
-        k_field: WavenumberField,
-        mode: str = "physical",
-        csl_beta: float = 0.0,
-    ):
-        if mode not in _MODE_GRID_KINDS:
-            raise ValueError(f"unknown operator mode {mode!r}")
-        if grid.kind not in _MODE_GRID_KINDS[mode]:
-            raise ValueError(f"mode {mode!r} is incompatible with grid kind {grid.kind!r}")
+    def __init__(self, grid: ComplexGrid, k_field: WavenumberField, shift: complex = 1.0):
         if k_field.values.shape != grid.shape:
             raise ValueError(
                 f"wavenumber field shape {k_field.values.shape} != grid shape {grid.shape}"
             )
-        if mode == "precond_csl":
-            if csl_beta <= 0:
-                raise ValueError(f"precond_csl mode needs csl_beta > 0, got {csl_beta}")
-        elif csl_beta != 0.0:
-            raise ValueError(f"csl_beta is only used in precond_csl mode, got {csl_beta}")
 
         self.grid = grid
         self.k_field = k_field
-        self.mode = mode
-        self.csl_beta = float(csl_beta)
-        self.shift = 1.0 + 1j * csl_beta if mode == "precond_csl" else 1.0 + 0.0j
+        self.shift = complex(shift)
 
         dx, lx, rx = _second_difference_coeffs(grid.spacing_x)
         dy, ly, ry = _second_difference_coeffs(grid.spacing_y)
@@ -75,6 +57,11 @@ class StencilOperator:
         )
         if np.any(np.abs(self._diag) < 1e-14 * np.abs(dx[:, None] + dy[None, :])):
             raise ValueError("operator diagonal has (near-)zero entries; resonant parameters")
+
+    @property
+    def mode(self) -> str:
+        """``"physical"`` or ``"shifted"``; kept for span keys in ``perfbench/tracing.py``."""
+        return "physical" if self.shift == 1 and self.grid.gamma == 1 else "shifted"
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -20,14 +20,21 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
+MODES = ("physical", "precond_grid", "precond_csl")
+
+
+def operator_for(mode, g, kf, beta=0.5):
+    """The physical, shifted-grid or CSL operator on one grid and k-field."""
+    if mode == "physical":
+        return StencilOperator(g, kf)
+    if mode == "precond_csl":
+        return StencilOperator(g, kf, 1 + 1j * beta)
+    return StencilOperator(rotate_grid(g, beta), kf)
+
+
 def make_operator(n, k, sigma_max=0.0, layer_width=None, mode="precond_grid", beta=0.5):
     g = build_stretched_grid(n, layer_width, sigma_max)
-    kf = build_wavenumber_field(ConstantK(k), g)
-    if mode == "physical":
-        return StencilOperator(g, kf, mode="physical")
-    if mode == "precond_csl":
-        return StencilOperator(g.with_kind("precond_csl"), kf, mode="precond_csl", csl_beta=beta)
-    return StencilOperator(rotate_grid(g, beta), kf, mode="precond_grid")
+    return operator_for(mode, g, build_wavenumber_field(ConstantK(k), g), beta)
 
 
 def random_field(shape, seed=0):

@@ -122,6 +122,12 @@ class TestSolveCommand:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3"])
+    def test_bad_wave_number_names_field(self, tmp_path, capsys, value):
+        code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "wave number k" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra, fields",
         [

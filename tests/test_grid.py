@@ -78,7 +78,6 @@ class TestRotateGrid:
         assert gamma == pytest.approx(1.029086 + 0.242934j, abs=1e-5)
         np.testing.assert_allclose(r.spacing_x, g.spacing_x * gamma)
         assert r.gamma == pytest.approx(gamma)
-        assert r.kind == "precond_grid"
 
     def test_rejects_double_rotation(self):
         g = rotate_grid(build_stretched_grid(9), 0.5)
@@ -135,10 +134,6 @@ class TestComplexGrid:
     def test_positive_real_part_required(self):
         with pytest.raises(ValueError, match="positive real part"):
             ComplexGrid(np.array([0.5, -0.5]), np.array([0.5, 0.5]))
-
-    def test_with_kind(self):
-        g = build_stretched_grid(9)
-        assert g.with_kind("precond_csl").kind == "precond_csl"
 
     def test_nodes_accumulate_spacings(self):
         g = build_stretched_grid(7)

@@ -13,7 +13,8 @@ from helmgrid import (
     v_cycle,
 )
 from helmgrid.multigrid import coarsen_field, coarsen_grid
-from helmgrid.grid import WedgeK, build_stretched_grid, build_wavenumber_field
+from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
+from helmgrid.problems import ProblemConfig, build_operators
 from tests.conftest import make_operator, random_field
 
 
@@ -37,7 +38,20 @@ class TestCoarsening:
         g = rotate_grid(build_stretched_grid(9, 2, 0.5), 0.5)
         gc = coarsen_grid(g)
         assert gc.gamma == g.gamma
-        assert gc.kind == "precond_grid"
+
+    @pytest.mark.parametrize("precond", ["grid", "csl"])
+    def test_levels_keep_shift_and_rotation(self, precond):
+        beta = 0.5
+        config = ProblemConfig(n=63, k=ConstantK(20.0), beta=beta, precond=precond)
+        physical, shifted = build_operators(config)
+        gamma = np.sqrt(1 + 1j * beta)
+        want = (1.0, gamma) if precond == "grid" else (1 + 1j * beta, 1.0)
+        assert (physical.shift, physical.grid.gamma, physical.mode) == (1.0, 1.0, "physical")
+        assert (shifted.shift, shifted.grid.gamma, shifted.mode) == (*want, "shifted")
+        h = build_hierarchy(shifted)
+        assert h.depth == 4
+        for level in h.levels:
+            assert (level.op.shift, level.op.grid.gamma) == want
 
     def test_k_injection_at_coincident_nodes(self):
         g = build_stretched_grid(9)
@@ -211,7 +225,7 @@ class TestDiagnostics:
         kf = build_wavenumber_field(WedgeK(10.0, 20.0, 40.0), g)
         from helmgrid import StencilOperator, rotate_grid
 
-        op = StencilOperator(rotate_grid(g, 0.5), kf, "precond_grid")
+        op = StencilOperator(rotate_grid(g, 0.5), kf)
         h = build_hierarchy(op)
         diag = CycleDiagnostics()
         b = random_field((63, 63), seed=10)

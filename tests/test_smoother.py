@@ -69,7 +69,7 @@ class TestDampedJacobi:
     def test_unit_weight_exact_on_1x1(self):
         g = build_stretched_grid(3)
         kf = build_wavenumber_field(ConstantK(2.0), g)
-        op = StencilOperator(g, kf, mode="physical")
+        op = StencilOperator(g, kf)
         # probe one unknown: on a single-point system u' = b/d
         b = np.zeros((3, 3), dtype=complex)
         b[1, 1] = 1.0 + 2.0j

@@ -34,7 +34,7 @@ def laplace_precond_operator(n=9, beta=0.5):
     g = build_stretched_grid(n)
     from helmgrid import rotate_grid
 
-    return StencilOperator(rotate_grid(g, beta), WavenumberField(np.zeros((n, n))), "precond_grid")
+    return StencilOperator(rotate_grid(g, beta), WavenumberField(np.zeros((n, n))))
 
 
 def oracle_min_flush_area(hull):
@@ -164,8 +164,7 @@ class TestSymbolSamples:
         # k chosen so 4/h^2 - k^2 = 0 for the physical-mode pair
         kf = WavenumberField(np.full((n, n), 2.0 / h))
         op = StencilOperator.__new__(StencilOperator)  # bypass the ctor guard
-        op.grid, op.k_field, op.mode, op.csl_beta = g, kf, "physical", 0.0
-        op.shift = 1.0 + 0.0j
+        op.grid, op.k_field, op.shift = g, kf, 1.0 + 0.0j
         with pytest.raises(ResonantDiagonalError, match="level 3"):
             symbol_samples(op, theta_count=8, level=3)
 

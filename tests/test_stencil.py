@@ -1,23 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmgrid import (
     ConstantK,
     StencilOperator,
     WavenumberField,
+    WedgeK,
     build_stretched_grid,
     build_wavenumber_field,
-    rotate_grid,
 )
-from tests.conftest import make_operator, random_field
+from tests.conftest import MODES, make_operator, operator_for, random_field
 
 
-def laplace_operator(n, mode="physical", beta=0.5):
+def laplace_operator(n):
     """k = 0 oracle operator (pure second differences)."""
-    g = build_stretched_grid(n)
-    if mode == "precond_grid":
-        g = rotate_grid(g, beta)
-    return StencilOperator(g, WavenumberField(np.zeros((n, n))), mode=mode)
+    return StencilOperator(build_stretched_grid(n), WavenumberField(np.zeros((n, n))))
+
+
+@st.composite
+def problems(draw):
+    """``(g, kf, beta)``: odd n in 3..31, beta in [0.05, 3], sigma_max in
+    [0, Re gamma / Im gamma) so the rotated layer stays valid, and a constant
+    or wedge k with kh in [0.05, 1.5] (clear of the resonance kh = 2)."""
+    n = 2 * draw(st.integers(1, 15)) + 1
+    beta = draw(st.floats(0.05, 3.0))
+    gamma = np.sqrt(1 + 1j * beta)
+    sigma_max = draw(st.floats(0.0, 1.0, exclude_max=True)) * gamma.real / gamma.imag
+    g = build_stretched_grid(n, sigma_max=sigma_max)
+    k = st.floats(0.05, 1.5).map(lambda kh: kh * (n + 1))
+    spec = draw(st.one_of(st.builds(ConstantK, k), st.builds(WedgeK, k, k, k)))
+    return g, build_wavenumber_field(spec, g), beta
 
 
 class TestApply:
@@ -41,19 +55,28 @@ class TestApply:
         want = a @ op.vec(u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_matches_dense_all_modes(self):
-        for mode in ("physical", "precond_grid", "precond_csl"):
-            op = make_operator(6, 4.0, sigma_max=0.5, layer_width=1, mode=mode)
-            u = random_field((6, 6), seed=2)
-            a = op.assemble_dense()
-            np.testing.assert_allclose(op.vec(op.apply(u)), a @ op.vec(u), rtol=1e-12)
+    @settings(max_examples=30)
+    @given(problem=problems(), mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_all_modes(self, problem, mode, seed):
+        op = operator_for(mode, *problem)
+        u = random_field(op.shape, seed=seed)
+        a = op.assemble_dense()
+        np.testing.assert_allclose(op.vec(op.apply(u)), a @ op.vec(u), rtol=1e-12)
 
-    def test_linearity(self, op31):
-        u = random_field((31, 31), seed=3)
-        v = random_field((31, 31), seed=4)
-        a, b = 0.3 - 1.1j, 2.0 + 0.7j
-        lhs = op31.apply(a * u + b * v)
-        rhs = a * op31.apply(u) + b * op31.apply(v)
+    @settings(max_examples=30)
+    @given(
+        problem=problems(),
+        mode=st.sampled_from(MODES),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+        b=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+    )
+    def test_linearity(self, problem, mode, seed, a, b):
+        op = operator_for(mode, *problem)
+        u = random_field(op.shape, seed=seed)
+        v = random_field(op.shape, seed=seed + 1)
+        lhs = op.apply(a * u + b * v)
+        rhs = a * op.apply(u) + b * op.apply(v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
     def test_shape_mismatch(self, op31):
@@ -111,7 +134,7 @@ class TestDense:
 
         g = ComplexGrid(np.array([0.4, 0.6]), np.array([0.3, 0.7]))
         kf = build_wavenumber_field(ConstantK(2.0), g)
-        op = StencilOperator(g, kf, mode="physical")
+        op = StencilOperator(g, kf)
         a = op.assemble_dense()
         assert a.shape == (1, 1)
         want = 2.0 / (0.4 * 0.6) + 2.0 / (0.3 * 0.7) - 4.0
@@ -121,7 +144,7 @@ class TestDense:
     def test_small_grid_dense_shape(self):
         g = build_stretched_grid(3)
         kf = build_wavenumber_field(ConstantK(2.0), g)
-        op = StencilOperator(g, kf, mode="physical")
+        op = StencilOperator(g, kf)
         a = op.assemble_dense()
         assert a.shape == (9, 9)
         assert a[0, 0] == pytest.approx(op.diagonal()[0, 0])
@@ -149,14 +172,14 @@ class TestDense:
 
 
 class TestInvariants:
-    def test_scalar_equivalence_grid_vs_csl(self):
+    @settings(max_examples=50)
+    @given(problem=problems(), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_equivalence_grid_vs_csl(self, problem, seed):
         # gamma^2 * (shifted-grid operator) == CSL operator with 1 + i beta
-        n, k, beta = 9, 7.0, 0.5
-        g = build_stretched_grid(n)
-        kf = build_wavenumber_field(ConstantK(k), g)
-        m_grid = StencilOperator(rotate_grid(g, beta), kf, mode="precond_grid")
-        m_csl = StencilOperator(g.with_kind("precond_csl"), kf, mode="precond_csl", csl_beta=beta)
-        u = random_field((n, n), seed=10)
+        g, kf, beta = problem
+        m_grid = operator_for("precond_grid", g, kf, beta)
+        m_csl = operator_for("precond_csl", g, kf, beta)
+        u = random_field(g.shape, seed=seed)
         lhs = (1 + 1j * beta) * m_grid.apply(u)
         rhs = m_csl.apply(u)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
@@ -172,16 +195,6 @@ class TestInvariants:
         order = np.log2(errs[32] / errs[64])
         assert order >= 1.9
 
-    def test_mode_grid_kind_consistency(self):
-        g = build_stretched_grid(9)
-        kf = build_wavenumber_field(ConstantK(5.0), g)
-        with pytest.raises(ValueError, match="incompatible"):
-            StencilOperator(g, kf, mode="precond_grid")
-        with pytest.raises(ValueError, match="csl_beta"):
-            StencilOperator(g.with_kind("precond_csl"), kf, mode="precond_csl", csl_beta=0.0)
-        with pytest.raises(ValueError, match="csl_beta"):
-            StencilOperator(g, kf, mode="physical", csl_beta=0.3)
-
     def test_near_resonant_diagonal_rejected(self):
         # k^2 = 4/h^2 at an interior point zeroes the diagonal
         n = 7
@@ -189,4 +202,4 @@ class TestInvariants:
         g = build_stretched_grid(n)
         kf = WavenumberField(np.full((n, n), 2.0 / h))
         with pytest.raises(ValueError, match="resonant|diagonal"):
-            StencilOperator(g, kf, mode="physical")
+            StencilOperator(g, kf)
