@@ -7,7 +7,8 @@ the preconditioned vectors stored so the preconditioner may change from step
 to step -- required when the multigrid smoother is itself GMRES.  FGMRES
 loops restarts over it; the GMRES(m) smoother is one cycle from a zero
 correction with no preconditioner.  Residual norms come from the Givens
-recurrence, and each cycle ends on a verified true residual.
+recurrence, and each cycle ends on a verified true residual.  Vector work
+runs in place through one scratch vector (aliasing rule: ``_arnoldi_cycle``).
 """
 
 from __future__ import annotations
@@ -67,16 +68,19 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
     ``target``, on breakdown, or on a singular projection (that step is
     dropped).  A zero ``r`` gives a copy of ``x``.
 
-    The new iterate is formed while the basis is still allocated: formed
-    after the basis was freed, on 255 x 255 fields each smoother call
-    faulted freed memory in again, with about four times the page faults
-    per solve.
+    Vector work runs in place through one scratch vector, keeping the operand
+    order of ``w - h * v`` and scaling by ``1 / norm`` as numpy's division
+    does, so results are bit for bit those of the out-of-place form.
+    ``apply_A`` and ``precondition`` may return their argument, so each step's
+    first update writes a fresh ``w``; the last such ``w`` then holds ``c``.
+    ``||A z||`` feeds only the thresholds; it is ``hypot(||h_k||, ||w||)``.
     """
     beta = np.linalg.norm(r)
     if beta == 0.0:
         return x.astype(complex), [], False
-    vs = [r / beta]
+    vs = [r * (1.0 / beta)]
     zs = []
+    tmp = np.empty_like(r, dtype=complex)
     h = np.zeros((m + 1, m), dtype=complex)
     cs = np.zeros(m)
     sn = np.zeros(m, dtype=complex)
@@ -88,17 +92,17 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
         z = vs[k] if precondition is None else precondition(vs[k])
         zs.append(z)
         w = apply_A(z)
-        norm_before = np.linalg.norm(w)
-        # out of place: apply_A may return its argument, a basis vector
         for j in range(k + 1):
             h[j, k] = np.vdot(vs[j], w)
-            w = w - h[j, k] * vs[j]
+            # j = 0 writes a fresh vector: w may alias z or a basis vector
+            w = np.subtract(w, np.multiply(h[j, k], vs[j], out=tmp), out=w if j else None)
         w_norm = np.linalg.norm(w)
+        norm_before = np.hypot(np.linalg.norm(h[: k + 1, k]), w_norm)
         if w_norm < 1e-8 * norm_before:  # cancellation: orthogonalize once more
             for j in range(k + 1):
                 corr = np.vdot(vs[j], w)
                 h[j, k] += corr
-                w = w - corr * vs[j]
+                np.subtract(w, np.multiply(corr, vs[j], out=tmp), out=w)
             w_norm = np.linalg.norm(w)
         h[k + 1, k] = w_norm
         breakdown = w_norm <= 1e-14 * norm_before
@@ -117,16 +121,17 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
         estimates.append(abs(g[k + 1]))
         if estimates[-1] <= target or breakdown:
             break
-        vs.append(w / w_norm)
+        vs.append(np.multiply(w, 1.0 / w_norm, out=w))
 
     n = len(estimates)
     y = np.zeros(n, dtype=complex)
     for i in range(n - 1, -1, -1):
         y[i] = (g[i] - h[i, i + 1 : n] @ y[i + 1 : n]) / h[i, i]
-    c = np.zeros_like(r, dtype=complex)
+    c = w  # fresh, and no step's z
+    c.fill(0.0)
     for j in range(n):
-        c += y[j] * zs[j]
-    return x + c, estimates, breakdown
+        c += np.multiply(y[j], zs[j], out=tmp)
+    return np.add(x, c, out=c), estimates, breakdown
 
 
 def fgmres(

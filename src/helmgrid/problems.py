@@ -118,8 +118,8 @@ class ProblemConfig:
             raise ValueError(f"theta_count must be >= 8, got {self.theta_count}")
         k = self.k
         ks = (k.k0,) if isinstance(k, ConstantK) else (k.k_top, k.k_mid, k.k_bot)
-        if not all(np.isfinite(v) and v > 0 for v in ks):
-            raise ValueError(f"wave number k must be finite and positive, got {k}")
+        if not all(np.isfinite(v * v) and v > 0 for v in ks):
+            raise ValueError(f"wave number k must be positive with a finite square, got {k}")
         return self
 
     def smoother_kind(self) -> SmootherKind:

@@ -31,6 +31,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -231,8 +232,9 @@ def symbol_samples(op: StencilOperator, theta_count: int = 64, level: int = 0) -
 def convex_hull(points) -> np.ndarray:
     """Counterclockwise convex hull of complex points (monotone chain).
 
-    Collinear interior points are removed; a fully collinear input yields the
-    two extreme points (one point if all coincide).
+    Collinear interior points are removed (turns are decided exactly, so
+    rounding never keeps or drops a near-collinear point); a fully collinear
+    input yields the two extreme points (one point if all coincide).
 
     Before the chain runs, each row of points sharing one imaginary part is
     cut to its two ends (an exact form of the extreme-point pre-filter of
@@ -257,7 +259,7 @@ def convex_hull(points) -> np.ndarray:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) >= 2 and not _turns_left(out[-2], out[-1], p):
                 out.pop()
             out.append(p)
         return out
@@ -272,6 +274,16 @@ def convex_hull(points) -> np.ndarray:
 
 def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
+
+
+def _turns_left(o: complex, a: complex, b: complex) -> bool:
+    """Whether ``o -> a -> b`` turns counterclockwise: by the float cross
+    product past its rounding bound (Shewchuk, 1997), else in exact rationals."""
+    cross = _cross(a - o, b - o)
+    if abs(cross) > 4e-16 * abs(a - o) * abs(b - o) + 1e-300:
+        return cross > 0
+    (ox, oy), (ax, ay), (bx, by) = ((Fraction(p.real), Fraction(p.imag)) for p in (o, a, b))
+    return (ax - ox) * (by - oy) > (ay - oy) * (bx - ox)
 
 
 def _support_lines(hull: np.ndarray, extra_directions: int):

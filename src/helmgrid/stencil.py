@@ -123,7 +123,8 @@ class StencilOperator:
         b = np.asarray(b)
         if b.shape != self.shape:
             raise ValueError(f"rhs shape {b.shape} != operator shape {self.shape}")
-        return b.astype(complex, copy=False) - self.apply(u)
+        v = self.apply(u)
+        return np.subtract(b, v, out=v)
 
     def assemble_dense(self) -> np.ndarray:
         """Dense matrix, lexicographic ordering with x fastest (oracle use)."""

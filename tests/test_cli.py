@@ -122,7 +122,7 @@ class TestSolveCommand:
         assert code == 1
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3", "1e200"])
     def test_bad_wave_number_names_field(self, tmp_path, capsys, value):
         code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(tmp_path)])
         assert code == 1

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
@@ -11,7 +11,71 @@ from helmgrid import (
     make_preconditioner,
     v_cycle,
 )
+from helmgrid.krylov import _arnoldi_cycle, _givens
 from tests.conftest import make_operator, random_field
+
+
+def reference_arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
+    """The out-of-place restart cycle, a temporary per vector operation; the
+    in-place cycle must return the same bits."""
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        return x.astype(complex), [], False
+    vs = [r / beta]
+    zs = []
+    h = np.zeros((m + 1, m), dtype=complex)
+    cs = np.zeros(m)
+    sn = np.zeros(m, dtype=complex)
+    g = np.zeros(m + 1, dtype=complex)
+    g[0] = beta
+    estimates = []
+    breakdown = False
+    for k in range(m):
+        z = vs[k] if precondition is None else precondition(vs[k])
+        zs.append(z)
+        w = apply_A(z)
+        norm_before = np.linalg.norm(w)
+        for j in range(k + 1):
+            h[j, k] = np.vdot(vs[j], w)
+            w = w - h[j, k] * vs[j]
+        w_norm = np.linalg.norm(w)
+        if w_norm < 1e-8 * norm_before:
+            for j in range(k + 1):
+                corr = np.vdot(vs[j], w)
+                h[j, k] += corr
+                w = w - corr * vs[j]
+            w_norm = np.linalg.norm(w)
+        h[k + 1, k] = w_norm
+        breakdown = w_norm <= 1e-14 * norm_before
+
+        for j in range(k):
+            t = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
+            h[j + 1, k] = -np.conj(sn[j]) * h[j, k] + cs[j] * h[j + 1, k]
+            h[j, k] = t
+        cs[k], sn[k] = _givens(h[k, k], h[k + 1, k])
+        h[k, k] = cs[k] * h[k, k] + sn[k] * h[k + 1, k]
+        h[k + 1, k] = 0.0
+        g[k + 1] = -np.conj(sn[k]) * g[k]
+        g[k] = cs[k] * g[k]
+        if abs(h[k, k]) == 0.0:
+            break
+        estimates.append(abs(g[k + 1]))
+        if estimates[-1] <= target or breakdown:
+            break
+        vs.append(w / w_norm)
+
+    n = len(estimates)
+    y = np.zeros(n, dtype=complex)
+    for i in range(n - 1, -1, -1):
+        y[i] = (g[i] - h[i, i + 1 : n] @ y[i + 1 : n]) / h[i, i]
+    c = np.zeros_like(r, dtype=complex)
+    for j in range(n):
+        c += y[j] * zs[j]
+    return x + c, estimates, breakdown
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def reference_right_preconditioned_gmres(a, m, b, tol, restart, max_iter):
@@ -174,6 +238,74 @@ class TestFgmres:
             fgmres(lambda v: v, None, np.ones(3), tol=0.0)
         with pytest.raises(ValueError, match="restart"):
             fgmres(lambda v: v, None, np.ones(3), restart=0)
+
+
+class TestArnoldiCycle:
+    @settings(max_examples=120)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(1, 8),
+        operator=st.sampled_from(["dense", "returns_argument"]),
+        preconditioner=st.sampled_from([None, "dense", "returns_argument"]),
+        target=st.sampled_from([0.0, 1e-3, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A and M returning their argument alias w with z or a basis vector
+    @example(n=6, m=4, operator="returns_argument", preconditioner="dense", target=0.0, seed=1)
+    @example(n=6, m=4, operator="returns_argument", preconditioner=None, target=0.0, seed=2)
+    @example(n=6, m=4, operator="dense", preconditioner="returns_argument", target=0.0, seed=3)
+    def test_matches_reference_bit_for_bit(self, n, m, operator, preconditioner, target, seed):
+        rng = np.random.default_rng(seed)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = 2.0 * np.eye(n) + gaussian(n, n) / np.sqrt(2 * n)
+        mat = np.linalg.inv(a + 0.3 * gaussian(n, n) / np.sqrt(2 * n))
+        kinds = {"dense": lambda d: lambda v: d @ v, "returns_argument": lambda d: lambda v: v}
+        apply_a = kinds[operator](a)
+        precondition = None if preconditioner is None else kinds[preconditioner](mat)
+        x, r = gaussian(n), gaussian(n)
+        x_in, r_in = x.copy(), r.copy()
+        got = _arnoldi_cycle(apply_a, precondition, x, r, m, target * np.linalg.norm(r))
+        want = reference_arnoldi_cycle(apply_a, precondition, x, r, m, target * np.linalg.norm(r))
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
+        assert got[2] == want[2]
+        assert np.array_equal(bits(x), bits(x_in)) and np.array_equal(bits(r), bits(r_in))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reorthogonalization_on_near_identity(self, seed):
+        # A = I + eps N: each step's w cancels to ~eps ||A z||, below the 1e-8
+        # threshold, so the second pass runs.  Two steps leave the residual
+        # eps^2 dist(N^2 r, span{r, N r}) to first order in eps; without the
+        # pass the lost orthogonality leaves it hundreds of times larger.
+        eps = 1e-10
+        rng = np.random.default_rng(seed)
+        n = 12
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        _, estimates, breakdown = _arnoldi_cycle(
+            lambda v: v + eps * (noise @ v), None, np.zeros(n, dtype=complex), r, 2
+        )
+        krylov = np.column_stack([r, noise @ r])
+        target = noise @ (noise @ r)
+        coef, *_ = np.linalg.lstsq(krylov, target, rcond=None)
+        want = eps**2 * np.linalg.norm(target - krylov @ coef)
+        assert not breakdown
+        assert abs(estimates[1] - want) <= 1e-4 * want
+
+    def test_matches_reference_on_stencil_fields(self):
+        # the smoother's call on 2-D fields past numpy's 256 KiB threshold
+        # for reusing temporaries, where operand order has bitten before
+        op = make_operator(129, 80.0)
+        b = random_field(op.shape, seed=9)
+        u = random_field(op.shape, seed=10)
+        r = op.residual(b, u)
+        got = _arnoldi_cycle(op.apply, None, u, r, 3)
+        want = reference_arnoldi_cycle(op.apply, None, u, r, 3)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
 
 
 class TestBaseline:
