@@ -12,7 +12,6 @@ import numpy as np
 
 from helmgrid import (
     ConstantK,
-    SmootherKind,
     StencilOperator,
     build_hierarchy,
     build_stretched_grid,
@@ -24,7 +23,7 @@ from helmgrid import (
 g = build_stretched_grid(31, sigma_max=1.0)
 kf = build_wavenumber_field(ConstantK(20.0), g)
 op = StencilOperator(rotate_grid(g, 0.5), kf)
-hier = build_hierarchy(op, smoother=SmootherKind("poly3"))
+hier = build_hierarchy(op, smoother="poly3")
 
 print("level-by-level spectral design (k = 20, beta = 0.5, sigma_max = 1):")
 for ell, level in enumerate(hier.levels):

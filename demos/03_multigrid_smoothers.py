@@ -10,7 +10,6 @@ import numpy as np
 
 from helmgrid import (
     ConstantK,
-    SmootherKind,
     StencilOperator,
     build_hierarchy,
     build_stretched_grid,
@@ -28,9 +27,8 @@ rng = np.random.default_rng(1)
 u_star = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 b = op.apply(u_star)
 
-for name, kind in (("poly3 (three damped Jacobi sweeps)", SmootherKind("poly3")),
-                   ("gmres3", SmootherKind("gmres", 3))):
-    hier = build_hierarchy(op, smoother=kind)
+for name, smoother in (("poly3 (three damped Jacobi sweeps)", "poly3"), ("gmres3", "gmres3")):
+    hier = build_hierarchy(op, smoother=smoother)
     u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     err = np.linalg.norm(u - u_star)
     ratios = []

@@ -35,7 +35,7 @@ from .problems import (
     solve_baseline,
     sweep,
 )
-from .smoother import SmootherKind, damped_jacobi, gmres_smooth, poly3_smooth
+from .smoother import damped_jacobi, gmres_smooth, poly3_smooth
 from .spectrum import (
     SmootherWeights,
     SpectralDesign,

@@ -92,7 +92,7 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
     out = np.empty_like(u)
     # full-domain weighted inverse diagonals, formed exactly as the naive
     # sweep forms them, so sliced tiles reproduce its arithmetic bit for bit
-    winv = [ws / op.diag for ws in w]
+    winv = [ws / op._grid_diag for ws in w]
 
     for (tx0, tx1), (ty0, ty1) in plan.tiles(op.shape):
         # region loaded once: tile plus `ghost` layers, clipped to the domain

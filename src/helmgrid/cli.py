@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .blocked import TilePlan, bench
 from .grid import ConstantK, WedgeK
-from .multigrid import DivergenceError
+from .multigrid import SMOOTHERS, DivergenceError
 from .problems import DEFAULT_PPW, ProblemConfig, build_operators, setup_problem, solve, sweep
 from .spectrum import UnstableLevelError, design_for_operator, jacobi_weights_for, symbol_samples
 
@@ -246,7 +246,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, help="complex shift of the preconditioner")
     p.add_argument("--sigma-max", dest="sigma_max", type=float, help="peak layer stretch")
     p.add_argument("--layer-width", dest="layer_width", type=int, help="layer cells per side")
-    p.add_argument("--smoother", choices=["poly3", "gmres3"], help="level smoother")
+    p.add_argument("--smoother", choices=SMOOTHERS, help="level smoother")
     p.add_argument("--precond", choices=["grid", "csl"], help="preconditioner flavor")
     p.add_argument("--levels", type=int, help="maximum multigrid levels")
     p.add_argument("--tol", type=float, help="relative residual tolerance")

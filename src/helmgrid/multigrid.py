@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .grid import ComplexGrid, WavenumberField
-from .smoother import SmootherKind, gmres_smooth, poly3_smooth
+from .smoother import gmres_smooth, poly3_smooth
 from .spectrum import SpectralDesign, design_for_operator, jacobi_weights_for
 from .stencil import StencilOperator
 
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 COARSEST_MAX = 9
+SMOOTHERS = ("poly3", "gmres3")
 
 
 class DivergenceError(RuntimeError):
@@ -94,7 +95,6 @@ def coarse_solve(lu_factors, rhs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Level:
     op: StencilOperator
-    kind: SmootherKind
     design: SpectralDesign | None = None
     jacobi_w: tuple[complex, complex, complex] | None = None
 
@@ -136,6 +136,7 @@ class Hierarchy:
 
     levels: list
     coarse_lu: tuple
+    smoother: str
     nu_pre: int = 1
     nu_post: int = 1
 
@@ -146,14 +147,14 @@ class Hierarchy:
     def smooth(self, ell: int, u: np.ndarray, b: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
         """One smoothing step on level ``ell``; ``r`` is ``b - A u`` if known."""
         level = self.levels[ell]
-        if level.kind.name == "poly3":
+        if self.smoother == "poly3":
             return poly3_smooth(level.op, u, b, level.jacobi_w, r)
-        return gmres_smooth(level.op, u, b, level.kind.m, r)
+        return gmres_smooth(level.op, u, b, 3, r)
 
 
 def build_hierarchy(
     fine: StencilOperator,
-    smoother: SmootherKind | None = None,
+    smoother: str = "gmres3",
     max_levels: int = 32,
     coarsest_max: int = COARSEST_MAX,
     theta_count: int = 64,
@@ -162,20 +163,21 @@ def build_hierarchy(
 ) -> Hierarchy:
     """Build operators, per-level smoother parameters and the coarsest LU.
 
-    Spectral designs (triangle + optimized cubic weights) are computed for
-    every level when the smoother is ``poly3`` (the damped-Jacobi weights that
-    realize the design are stored alongside), or on request via
-    ``with_designs``; an unstable level raises from the weight optimizer.
+    ``smoother`` is one of :data:`SMOOTHERS`.  Spectral designs (triangle +
+    optimized cubic weights) are computed for every level when it is ``poly3``
+    (the damped-Jacobi weights that realize the design are stored alongside),
+    or on request via ``with_designs``; an unstable level raises from the
+    weight optimizer.
     Coarsening stops after ``max_levels`` levels, once a side is at most
     ``coarsest_max``, or at an even size; the coarsest level, whatever its
     size, is factored by dense LU, whose assembly raises above
     ``DENSE_SIZE_CAP`` unknowns.
     """
-    if smoother is None:
-        smoother = SmootherKind("gmres", 3)
+    if smoother not in SMOOTHERS:
+        raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {smoother!r}")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    need_designs = smoother.name == "poly3" if with_designs is None else with_designs
+    need_designs = smoother == "poly3" if with_designs is None else with_designs
 
     ops = [fine]
     op = fine
@@ -199,11 +201,11 @@ def build_hierarchy(
                 op, theta_count=theta_count, inflate=inflate, level=ell
             )
             jac = jacobi_weights_for(design, op)
-        levels.append(Level(op=op, kind=smoother, design=design, jacobi_w=jac))
+        levels.append(Level(op=op, design=design, jacobi_w=jac))
 
     a = ops[-1].assemble_dense()
     lu, piv = lu_factor(a)
-    return Hierarchy(levels=levels, coarse_lu=(lu, piv, ops[-1].shape))
+    return Hierarchy(levels=levels, coarse_lu=(lu, piv, ops[-1].shape), smoother=smoother)
 
 
 def v_cycle(

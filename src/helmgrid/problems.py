@@ -23,8 +23,7 @@ from .grid import (
     rotate_grid,
 )
 from .krylov import fgmres
-from .multigrid import COARSEST_MAX, CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
-from .smoother import SmootherKind
+from .multigrid import COARSEST_MAX, SMOOTHERS, CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
 from .stencil import DENSE_SIZE_CAP, StencilOperator
 
 __all__ = [
@@ -93,7 +92,7 @@ class ProblemConfig:
                     f"layer spacing a non-positive real part; precond 'grid' needs "
                     f"sigma_max < {limit:.4g} at this beta (or use precond 'csl')"
                 )
-        if self.smoother not in ("poly3", "gmres3"):
+        if self.smoother not in SMOOTHERS:
             raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
@@ -122,9 +121,6 @@ class ProblemConfig:
             raise ValueError(f"wave number k must be positive with a finite square, got {k}")
         return self
 
-    def smoother_kind(self) -> SmootherKind:
-        return SmootherKind("poly3") if self.smoother == "poly3" else SmootherKind("gmres", 3)
-
 
 @dataclass(eq=False)
 class Problem:
@@ -152,7 +148,7 @@ def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Pr
     a_op, m_op = build_operators(config)
     hierarchy = build_hierarchy(
         m_op,
-        smoother=config.smoother_kind(),
+        smoother=config.smoother,
         max_levels=config.levels,
         theta_count=config.theta_count,
         with_designs=with_designs,

@@ -1,16 +1,15 @@
 """Level smoothers: three damped Jacobi sweeps, or GMRES(3) on the defect.
 
 The cubic smoother applies damped Jacobi with three different complex weights;
-its error propagation is the cubic ``p(Dinv A)`` in the Jacobi-preconditioned
-operator.  The GMRES smoother solves the defect equation ``A c = r0`` with a
-zero initial correction by one restart cycle of the outer solver's Arnoldi
-process (``krylov``), m steps long; it picks its own coefficients anew at
-every call, so it is not a fixed linear operator across calls.
+its error propagation is the cubic ``p(Dinv A)``, with ``D`` the
+second-difference diagonal the cubic is certified in (``spectrum``).  The
+GMRES smoother solves the defect equation ``A c = r0`` with a zero initial
+correction by one restart cycle of the outer solver's Arnoldi process
+(``krylov``), m steps long; it picks its own coefficients anew at every call,
+so it is not a fixed linear operator across calls.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,21 +17,7 @@ from .krylov import _arnoldi_cycle
 from .spectrum import SmootherWeights
 from .stencil import StencilOperator
 
-__all__ = ["SmootherKind", "damped_jacobi", "poly3_smooth", "gmres_smooth", "weight_triple"]
-
-
-@dataclass(frozen=True)
-class SmootherKind:
-    """Smoother selector for a hierarchy: ``poly3`` or ``gmres`` with m steps."""
-
-    name: str = "gmres"
-    m: int = 3
-
-    def __post_init__(self):
-        if self.name not in ("poly3", "gmres"):
-            raise ValueError(f"unknown smoother kind {self.name!r}")
-        if self.name == "gmres" and self.m < 1:
-            raise ValueError(f"gmres smoother needs m >= 1, got {self.m}")
+__all__ = ["damped_jacobi", "poly3_smooth", "gmres_smooth", "weight_triple"]
 
 
 def weight_triple(weights) -> tuple[complex, complex, complex]:
@@ -46,7 +31,8 @@ def weight_triple(weights) -> tuple[complex, complex, complex]:
 def damped_jacobi(
     op: StencilOperator, u: np.ndarray, b: np.ndarray, w: complex, r: np.ndarray | None = None
 ) -> np.ndarray:
-    """One damped Jacobi sweep: ``u + w * Dinv * (b - A u)``.
+    """One damped Jacobi sweep: ``u + w * Dinv * (b - A u)``, with ``D`` the
+    second-difference diagonal the cubic's design is certified in.
 
     ``r``, when given, is the caller's ``b - A u`` and saves the apply.  The
     weighted inverse diagonal is formed once as a full-domain array so the
@@ -57,7 +43,7 @@ def damped_jacobi(
     """
     if r is None:
         r = b - op.apply(u)
-    return u + np.multiply(r, w / op.diag)
+    return u + np.multiply(r, w / op._grid_diag)
 
 
 def poly3_smooth(

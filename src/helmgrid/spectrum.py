@@ -17,12 +17,14 @@ keeps only the two ends of every such horizontal run before its monotone
 chain; a level's hull costs two points per pair rather than ``theta_count^2``.
 The LP rounds are the bulk of a design's time.
 
-Normalization note: samples are the operator symbol divided by the diagonal of
-its second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
+Normalization: samples are the operator symbol divided by the diagonal of its
+second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
 with ``hc`` the complex (gamma-scaled, stretched) spacing.  With a positive
 shift this places every sample in the closed lower half-plane, which is what
 makes a lower-half bounding triangle possible; normalizing by the full
 diagonal ``4/hc^2 - s*k^2`` instead would rotate the set across the real axis.
+The smoother damps with the same diagonal (``StencilOperator.grid_diagonal``),
+so the designed weights are the damped-Jacobi weights, with no conversion.
 """
 
 from __future__ import annotations
@@ -599,18 +601,12 @@ def design_for_operator(
 
 
 def jacobi_weights_for(design: SpectralDesign, op: StencilOperator) -> tuple[complex, complex, complex]:
-    """Damped-Jacobi weights realizing the designed cubic on this operator.
+    """Damped-Jacobi weights realizing the designed cubic on ``op``.
 
-    The cubic is certified against the symbol normalized by the
-    second-difference diagonal; damped Jacobi divides by the full diagonal, so
-    the design weights are rescaled by the level's modal diagonal ratio
-    ``d_full/d_grid`` (exact on constant-coefficient levels).
+    Damped Jacobi divides by the second-difference diagonal, the normalization
+    the cubic is certified in, so these are the design weights themselves,
+    conjugated when the triangle was flipped into the lower half-plane.
+    ``op`` is not read; ``perfbench/tracing.py`` keys its span on its shape.
     """
-    ratio = op.diagonal() / op.grid_diagonal()
-    values, counts = np.unique(ratio.ravel(), return_counts=True)
-    rho = complex(values[np.argmax(counts)])
-    w = design.weights.w
-    if design.triangle.flipped:
-        w = np.conj(w)
-    w = w * rho
+    w = np.conj(design.weights.w) if design.triangle.flipped else design.weights.w
     return (complex(w[0]), complex(w[1]), complex(w[2]))

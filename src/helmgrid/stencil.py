@@ -16,6 +16,8 @@ Unknown ordering for dense assembly is lexicographic with x fastest.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .grid import ComplexGrid, WavenumberField
@@ -50,6 +52,7 @@ class StencilOperator:
 
         dx, lx, rx = _second_difference_coeffs(grid.spacing_x)
         dy, ly, ry = _second_difference_coeffs(grid.spacing_y)
+        self._dx, self._dy = dx, dy
         self._left_x, self._right_x = lx, rx
         self._left_y, self._right_y = ly, ry
         self._diag = (
@@ -103,20 +106,21 @@ class StencilOperator:
         out += self._left_y[None, sy] * u_pad[1:-1, :-2]
         out += self._right_y[None, sy] * u_pad[1:-1, 2:]
 
-    @property
-    def diag(self) -> np.ndarray:
-        """The diagonal array itself (do not mutate); see :meth:`diagonal`."""
-        return self._diag
-
     def diagonal(self) -> np.ndarray:
         """Coefficient of u_ij in apply; consistent with unit basis probes."""
         return self._diag.copy()
 
+    @cached_property
+    def _grid_diag(self) -> np.ndarray:
+        """The second-difference diagonal, formed on first use, so operators
+        damped Jacobi never runs on (GMRES(m) levels, the physical operator)
+        do not store it."""
+        return self._dx[:, None] + self._dy[None, :]
+
     def grid_diagonal(self) -> np.ndarray:
-        """Diagonal of the second-difference part alone (the k=0 diagonal)."""
-        dx = 2.0 / (self.grid.spacing_x[:-1] * self.grid.spacing_x[1:])
-        dy = 2.0 / (self.grid.spacing_y[:-1] * self.grid.spacing_y[1:])
-        return dx[:, None] + dy[None, :] + np.zeros(self.shape, dtype=complex)
+        """Diagonal of the second-difference part alone (the k=0 diagonal);
+        damped Jacobi divides by it, and the cubic is certified in it."""
+        return self._grid_diag.copy()
 
     def residual(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
         """b - A u."""

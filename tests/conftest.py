@@ -6,13 +6,13 @@ from hypothesis import settings
 
 from helmgrid import (
     ConstantK,
-    SmootherKind,
     StencilOperator,
     build_hierarchy,
     build_stretched_grid,
     build_wavenumber_field,
     rotate_grid,
 )
+from helmgrid.problems import ProblemConfig, setup_problem
 
 # property tests draw the same examples on every run (derandomize also turns
 # off the example database), and no example is failed for its run time
@@ -50,9 +50,18 @@ def op31():
 
 @pytest.fixture(scope="session")
 def hier31_poly3(op31):
-    return build_hierarchy(op31, smoother=SmootherKind("poly3"))
+    return build_hierarchy(op31, smoother="poly3")
 
 
 @pytest.fixture(scope="session")
 def hier31_gmres(op31):
     return build_hierarchy(op31)
+
+
+@pytest.fixture(scope="session", params=("grid", "csl"))
+def hier31_stretched_poly3(request):
+    """poly3 hierarchy at n=31, k=20 behind a strong layer (sigma_max=2)."""
+    config = ProblemConfig(
+        n=31, k=ConstantK(20.0), sigma_max=2.0, smoother="poly3", precond=request.param
+    )
+    return setup_problem(config).hierarchy

@@ -11,7 +11,6 @@ import pytest
 
 from helmgrid import (
     ConstantK,
-    SmootherKind,
     TilePlan,
     WedgeK,
     bench,
@@ -45,7 +44,7 @@ def designed_hierarchies():
         n = pick_grid_size(k)
         for sigma in SIGMAS:
             op = make_operator(n, k, sigma_max=sigma)
-            out[(k, sigma)] = build_hierarchy(op, smoother=SmootherKind("poly3"))
+            out[(k, sigma)] = build_hierarchy(op, smoother="poly3")
     return out
 
 
@@ -243,7 +242,7 @@ def test_criterion_10_oracle_micro_suite():
     adjoint_err = abs(lhs - rhs) / abs(rhs)
     # V-cycle superposition under poly3
     op16 = make_operator(15, 10.0)
-    hier = build_hierarchy(op16, smoother=SmootherKind("poly3"))
+    hier = build_hierarchy(op16, smoother="poly3")
     b1 = random_field((15, 15), seed=14)
     b2 = random_field((15, 15), seed=15)
     u1, _ = v_cycle(hier, b1)

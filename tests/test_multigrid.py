@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helmgrid import (
     CycleDiagnostics,
-    SmootherKind,
     build_hierarchy,
     coarse_solve,
     prolong,
@@ -14,7 +13,7 @@ from helmgrid import (
 )
 from helmgrid.multigrid import coarsen_field, coarsen_grid
 from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
-from helmgrid.problems import ProblemConfig, build_operators
+from helmgrid.problems import ProblemConfig, build_operators, solve
 from tests.conftest import make_operator, random_field
 
 
@@ -160,7 +159,7 @@ class TestVCycle:
         # regression threshold 0.5 validated by the dense two-grid oracle
         # below (spectral radius ~0.34 on n=15)
         op = make_operator(63, 20.0)
-        h = build_hierarchy(op, smoother=SmootherKind("poly3"))
+        h = build_hierarchy(op, smoother="poly3")
         rng = np.random.default_rng(8)
         u_star = rng.standard_normal((63, 63)) + 1j * rng.standard_normal((63, 63))
         b = op.apply(u_star)
@@ -177,11 +176,11 @@ class TestVCycle:
     def test_two_grid_oracle_spectral_radius(self):
         # dense two-grid iteration matrix E = S (I - P Ac^-1 R A) S
         op = make_operator(15, 10.0)
-        h = build_hierarchy(op, smoother=SmootherKind("poly3"))
+        h = build_hierarchy(op, smoother="poly3")
         assert h.depth == 2
         n = 15
         a = op.assemble_dense()
-        dinv = 1.0 / op.diagonal().ravel(order="F")
+        dinv = 1.0 / op.grid_diagonal().ravel(order="F")
         s = np.eye(n * n, dtype=complex)
         for wi in h.levels[0].jacobi_w:
             s = (np.eye(n * n) - wi * dinv[:, None] * a) @ s
@@ -205,6 +204,34 @@ class TestVCycle:
         with pytest.raises(Exception, match="divergence|finite"):
             b = np.full((31, 31), np.nan, dtype=complex)
             v_cycle(hier31_poly3, b)
+
+
+class TestAppliedCubic:
+    """The smoother that runs is the cubic that is certified."""
+
+    def test_applied_cubic_spectral_radius_on_stretched_levels(self, hier31_stretched_poly3):
+        # dense error propagation of one smoothing step, column by column:
+        # with b = 0 the step maps an error e to p(Dinv A) e
+        h = hier31_stretched_poly3
+        for ell, level in enumerate(h.levels[:-1]):
+            n = level.op.n_unknowns
+            zero = np.zeros(level.shape, dtype=complex)
+            s = np.empty((n, n), dtype=complex)
+            for j in range(n):
+                e = np.zeros(n, dtype=complex)
+                e[j] = 1.0
+                s[:, j] = level.op.vec(h.smooth(ell, level.op.unvec(e), zero))
+            rho = np.max(np.abs(np.linalg.eigvals(s)))
+            assert rho <= 1.0, f"level {ell}: spectral radius {rho:.4f}"
+
+    def test_two_smoothing_steps_converge_faster(self):
+        # the same designs, smoothed once or twice on each side of the cycle
+        config = ProblemConfig(n=127, k=ConstantK(80.0), smoother="poly3")
+        _, once, problem = solve(config)
+        problem.hierarchy.nu_pre = problem.hierarchy.nu_post = 2
+        _, twice, _ = solve(config, problem=problem)
+        assert once.converged and twice.converged
+        assert twice.iterations < once.iterations
 
 
 class TestDiagnostics:

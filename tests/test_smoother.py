@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
-    SmootherKind,
     StencilOperator,
+    build_hierarchy,
     build_stretched_grid,
     build_wavenumber_field,
     ConstantK,
@@ -56,7 +56,7 @@ def reference_gmres_smooth(op, u, b, m=3):
 
 def dense_parts(op):
     a = op.assemble_dense()
-    d = op.diagonal().ravel(order="F")
+    d = op.grid_diagonal().ravel(order="F")
     return a, d
 
 
@@ -66,15 +66,16 @@ class TestDampedJacobi:
         b = random_field((31, 31), seed=1)
         np.testing.assert_array_equal(damped_jacobi(op31, u, b, 0.0), u)
 
-    def test_unit_weight_exact_on_1x1(self):
+    def test_unit_weight_divides_by_grid_diagonal(self):
         g = build_stretched_grid(3)
         kf = build_wavenumber_field(ConstantK(2.0), g)
         op = StencilOperator(g, kf)
-        # probe one unknown: on a single-point system u' = b/d
+        # probe one unknown from zero: u' = b/d with d the k=0 diagonal
         b = np.zeros((3, 3), dtype=complex)
         b[1, 1] = 1.0 + 2.0j
         u1 = damped_jacobi(op, np.zeros_like(b), b, 1.0)
-        assert u1[1, 1] == pytest.approx(b[1, 1] / op.diagonal()[1, 1])
+        assert u1[1, 1] == pytest.approx(b[1, 1] / op.grid_diagonal()[1, 1])
+        assert u1[1, 1] != pytest.approx(b[1, 1] / op.diagonal()[1, 1])
 
     def test_matches_dense_oracle(self):
         op = make_operator(8, 5.0, sigma_max=0.6, layer_width=2)
@@ -204,10 +205,9 @@ class TestGmresSmooth:
             gmres_smooth(op31, np.zeros((31, 31)), np.zeros((31, 31)), 0)
 
 
-def test_smoother_kind_validation():
-    assert SmootherKind("poly3").name == "poly3"
-    assert SmootherKind("gmres", 3).m == 3
-    with pytest.raises(ValueError):
-        SmootherKind("sor")
-    with pytest.raises(ValueError):
-        SmootherKind("gmres", 0)
+def test_build_hierarchy_smoother_validation(op31, hier31_poly3, hier31_gmres):
+    assert hier31_poly3.smoother == "poly3"
+    assert hier31_gmres.smoother == "gmres3"
+    for name in ("sor", "gmres", "poly3 "):
+        with pytest.raises(ValueError, match=repr(name)):
+            build_hierarchy(op31, smoother=name)
