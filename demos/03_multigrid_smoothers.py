@@ -33,7 +33,7 @@ for name, smoother in (("poly3 (three damped Jacobi sweeps)", "poly3"), ("gmres3
     err = np.linalg.norm(u - u_star)
     ratios = []
     for _ in range(8):
-        u, _ = v_cycle(hier, b, u)
+        u = v_cycle(hier, b, u)
         err_new = np.linalg.norm(u - u_star)
         ratios.append(err_new / err)
         err = err_new

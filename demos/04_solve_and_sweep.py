@@ -18,7 +18,7 @@ x, report, problem = solve(config)
 print(f"constant k = 40, n = 63: converged = {report.converged} "
       f"in {report.iterations} iterations ({report.wall_time:.2f}s)")
 
-_, base = solve_baseline(config, max_iter=2000, problem=problem)
+_, base = solve_baseline(config, problem=problem)
 print(f"unpreconditioned restarted GMRES on the same system: "
       f"{base.iterations} iterations ({base.status})")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +32,7 @@ BYTES_PER_VALUE = 16
 
 @dataclass(frozen=True)
 class TilePlan:
-    """Spatial tiling for one fused cubic application.
+    """Spatial tiling for one fused cubic application, traversed row-major.
 
     ``ghost`` is the number of fused stencil applications (3 for the cubic
     smoother).  Trailing tiles absorb the remainder of the axis so the tiles
@@ -40,20 +41,15 @@ class TilePlan:
 
     tile_x: int
     tile_y: int
-    ghost: int = FUSED_SWEEPS
-    traversal: str = "row_major"
+    ghost: ClassVar[int] = FUSED_SWEEPS
 
     def __post_init__(self):
-        if self.ghost < 1:
-            raise ValueError("ghost layer count must be >= 1")
         min_tile = 2 * self.ghost
         if self.tile_x < min_tile or self.tile_y < min_tile:
             raise ValueError(
                 f"tile too small: {self.tile_x}x{self.tile_y}; "
                 f"minimum viable size is {min_tile} per axis"
             )
-        if self.traversal not in ("row_major", "col_major"):
-            raise ValueError(f"unknown traversal {self.traversal!r}")
 
     def _segments(self, n: int, t: int) -> list[tuple[int, int]]:
         """Axis partition [start, stop); a short remainder joins the last tile."""
@@ -71,9 +67,7 @@ class TilePlan:
     def tiles(self, shape: tuple[int, int]):
         xsegs = self._segments(shape[0], self.tile_x)
         ysegs = self._segments(shape[1], self.tile_y)
-        if self.traversal == "row_major":
-            return [(xs, ys) for ys in ysegs for xs in xsegs]
-        return [(xs, ys) for xs in xsegs for ys in ysegs]
+        return [(xs, ys) for ys in ysegs for xs in xsegs]
 
     def describe(self) -> str:
         return f"{self.tile_x}x{self.tile_y}"
@@ -81,8 +75,6 @@ class TilePlan:
 
 def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, plan: TilePlan) -> np.ndarray:
     """Tiled fused triple damped-Jacobi sweep, equal to the naive path."""
-    if plan.ghost != FUSED_SWEEPS:
-        raise ValueError(f"cubic smoother fuses {FUSED_SWEEPS} sweeps, plan has ghost={plan.ghost}")
     w = weight_triple(weights)
     u = np.asarray(u, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -128,7 +120,6 @@ class BenchRow:
     flops_per_point: float
     est_bytes_per_point: float
     intensity: float
-    variance_flagged: bool
 
 
 def _model_counts(op: StencilOperator, plan: TilePlan) -> tuple[float, float]:
@@ -162,10 +153,7 @@ def bench(
     repetitions: int = 5,
     rng_seed: int = 0,
 ) -> list[BenchRow]:
-    """Time the fused kernel per plan; correctness is re-verified per plan.
-
-    Timing variance above 20% of the median is flagged in the row.
-    """
+    """Time the fused kernel per plan; correctness is re-verified per plan."""
     plans = list(plans)
     if not plans:
         raise ValueError("need at least one tile plan")
@@ -191,7 +179,6 @@ def bench(
             blocked_poly3(op, u, b, weights, plan)
             times.append(time.perf_counter() - t0)
         med = float(np.median(times))
-        flagged = (max(times) - min(times)) > 0.2 * med if repetitions > 1 else False
         flops, traffic = _model_counts(op, plan)
         rows.append(
             BenchRow(
@@ -201,7 +188,6 @@ def bench(
                 flops_per_point=flops,
                 est_bytes_per_point=traffic,
                 intensity=flops / traffic,
-                variance_flagged=flagged,
             )
         )
     return rows

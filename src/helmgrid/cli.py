@@ -1,8 +1,9 @@
-"""Command-line entry points: solve, sweep, spectrum, bench.
+"""Command-line entry points: solve, sweep, spectrum.
 
 Configuration comes from an optional ``key = value`` text file plus flag
-overrides (flags win).  All outputs are CSV (UTF-8, comma separator, ``.``
-decimal point, one header row, fixed column order) or JSON.
+overrides (flags win); both name the fields of ``ProblemConfig``.  All
+outputs are CSV (UTF-8, comma separator, ``.`` decimal point, one header row,
+fixed column order) or JSON.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .blocked import TilePlan, bench
 from .grid import ConstantK, WedgeK
-from .multigrid import SMOOTHERS, DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, build_operators, setup_problem, solve, sweep
-from .spectrum import UnstableLevelError, design_for_operator, jacobi_weights_for, symbol_samples
+from .multigrid import DivergenceError
+from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep
+from .spectrum import UnstableLevelError, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
 DIAGNOSTICS_COLUMNS = ["cycle", "level", "cgc_ratio", "pre_residual", "post_residual"]
@@ -31,10 +31,6 @@ TRIANGLES_COLUMNS = [
     "v1_re", "v1_im", "v2_re", "v2_im", "v3_re", "v3_im",
     "w1_re", "w1_im", "w2_re", "w2_im", "w3_re", "w3_im",
     "achieved_stability", "achieved_smoothing",
-]
-BENCH_COLUMNS = [
-    "plan", "time_ms", "mlups", "flops_per_point", "est_bytes_per_point",
-    "intensity", "variance_flagged",
 ]
 
 
@@ -89,18 +85,39 @@ _PARSERS = {
     for name, hint in typing.get_type_hints(ProblemConfig).items()
 }
 _PARSERS["k"] = parse_k_spec
+_HELP = {
+    "n": "interior grid points per axis (odd)",
+    "k": "wave number: a float or wedge:kt,km,kb[:a,b]",
+    "layer_width": "layer cells per side",
+    "sigma_max": "peak layer stretch",
+    "ramp": "layer stretch profile: quadratic or linear",
+    "beta": "complex shift of the preconditioner",
+    "precond": "preconditioner flavor: grid or csl",
+    "smoother": "level smoother: gmres3 or poly3",
+    "levels": "maximum multigrid levels",
+    "nu_pre": "smoothing steps before the coarse-grid correction",
+    "nu_post": "smoothing steps after the coarse-grid correction",
+    "tol": "relative residual tolerance",
+    "restart": "FGMRES restart length",
+    "max_iter": "iteration cap",
+    "rhs": "right-hand side kind: point or random",
+    "seed": "seed for random right-hand sides",
+    "theta_count": "symbol samples per axis for the poly3 design",
+}
 
 
 def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemConfig:
     values = dict(file_values)
-    for key in values:
+    values.update({key: getattr(args, key) for key in _PARSERS if getattr(args, key) is not None})
+    parsed = {}
+    for key, text in values.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-    for key in _PARSERS:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    config = replace(ProblemConfig(), **{key: _PARSERS[key](v) for key, v in values.items()})
-    return config.validate()
+        try:
+            parsed[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
+    return replace(ProblemConfig(), **parsed).validate()
 
 
 def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
@@ -166,7 +183,7 @@ def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
 
 def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem = setup_problem(config, with_designs=True)
+    problem = setup_problem(replace(config, smoother="poly3"))
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):
@@ -194,38 +211,6 @@ def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     return 0
 
 
-def parse_tiles(text: str, n: int):
-    plans = []
-    for token in text.split(","):
-        token = token.strip()
-        size = n if token == "full" else int(token)
-        plans.append(TilePlan(size, size))
-    return plans
-
-
-def run_bench(config: ProblemConfig, tiles: str, repetitions: int, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, op = build_operators(config)
-    design = design_for_operator(op, theta_count=config.theta_count)
-    weights = jacobi_weights_for(design, op)
-    plans = parse_tiles(tiles, config.n)
-    if not plans:
-        raise ValueError("empty tile plan list")
-    rows = bench(op, weights, plans, repetitions=repetitions, rng_seed=config.seed)
-    write_csv(
-        out_dir / "bench.csv",
-        BENCH_COLUMNS,
-        [
-            (r.plan, f"{r.time_ms:.6f}", f"{r.mlups:.3f}", f"{r.flops_per_point:.3f}",
-             f"{r.est_bytes_per_point:.3f}", f"{r.intensity:.4f}", int(r.variance_flagged))
-            for r in rows
-        ],
-    )
-    best = min(rows, key=lambda r: r.time_ms)
-    print(f"bench: fastest plan {best.plan} at {best.mlups:.1f} MLUP/s")
-    return 0
-
-
 def config_summary(config: ProblemConfig) -> dict:
     """Every config field, for ``report.json``; ``k`` as a description."""
     summary = {f.name: getattr(config, f.name) for f in fields(config)}
@@ -241,19 +226,8 @@ def config_summary(config: ProblemConfig) -> dict:
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--n", type=int, help="interior grid points per axis")
-    p.add_argument("--k", help="wave number: a float or wedge:kt,km,kb[:a,b]")
-    p.add_argument("--beta", type=float, help="complex shift of the preconditioner")
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, help="peak layer stretch")
-    p.add_argument("--layer-width", dest="layer_width", type=int, help="layer cells per side")
-    p.add_argument("--smoother", choices=SMOOTHERS, help="level smoother")
-    p.add_argument("--precond", choices=["grid", "csl"], help="preconditioner flavor")
-    p.add_argument("--levels", type=int, help="maximum multigrid levels")
-    p.add_argument("--tol", type=float, help="relative residual tolerance")
-    p.add_argument("--restart", type=int, help="FGMRES restart length")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    p.add_argument("--seed", type=int, help="seed for random right-hand sides")
-    p.add_argument("--rhs", choices=["point", "random"], help="right-hand side kind")
+    for key in _PARSERS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP[key])
     p.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
 
 
@@ -280,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="per-level symbol samples, triangles, weights")
     _add_common_flags(p_spec)
-
-    p_bench = sub.add_parser("bench", help="cache-blocked smoother benchmark")
-    _add_common_flags(p_bench)
-    p_bench.add_argument("--tiles", default="8,16,32,64,full",
-                         help="comma-separated tile sizes; 'full' = whole domain")
-    p_bench.add_argument("--reps", type=int, default=5, help="timing repetitions")
     return parser
 
 
@@ -303,8 +271,6 @@ def main(argv=None) -> int:
             return run_sweep(k_list, args.ppw, config, out_dir)
         if args.command == "spectrum":
             return run_spectrum(config, out_dir)
-        if args.command == "bench":
-            return run_bench(config, args.tiles, args.reps, out_dir)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, UnstableLevelError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,9 +74,12 @@ def default_layer_width(n: int) -> int:
     return min(max(4, n // 8), n // 4)
 
 
+RAMPS = ("linear", "quadratic")
+
+
 def _layer_sigma(n: int, layer_width: int, sigma_max: float, ramp: str) -> np.ndarray:
     """Imaginary stretch profile sigma_j over the n+1 intervals of one axis."""
-    if ramp not in ("linear", "quadratic"):
+    if ramp not in RAMPS:
         raise ValueError(f"ramp must be 'linear' or 'quadratic', got {ramp!r}")
     power = 1 if ramp == "linear" else 2
     sigma = np.zeros(n + 1)

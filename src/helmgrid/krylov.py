@@ -141,7 +141,6 @@ def fgmres(
     tol: float = 1e-6,
     restart: int = 20,
     max_iter: int = 500,
-    diagnostics=None,
 ):
     """Flexible right-preconditioned GMRES from a zero initial guess.
 
@@ -159,8 +158,6 @@ def fgmres(
         Convergence threshold on ``||b - A x|| / ||b||``.
     restart, max_iter : int
         Restart length and total inner-iteration cap.
-    diagnostics : optional
-        Attached to the report (e.g. the preconditioner's CycleDiagnostics).
 
     Returns
     -------
@@ -174,6 +171,8 @@ def fgmres(
         raise ValueError(f"tol must be > 0, got {tol}")
     if restart < 1:
         raise ValueError(f"restart must be >= 1, got {restart}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=complex)
     b_norm = np.linalg.norm(b)
@@ -208,5 +207,4 @@ def fgmres(
         wall_time=time.perf_counter() - t0,
         status=status,
         final_residual=float(residual),
-        diagnostics=diagnostics,
     )

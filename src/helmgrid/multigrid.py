@@ -125,20 +125,19 @@ class CycleDiagnostics:
             }
         )
 
-    def cgc_ratios(self, level: int | None = None) -> np.ndarray:
-        rows = self.rows if level is None else [r for r in self.rows if r["level"] == level]
-        return np.array([r["cgc_ratio"] for r in rows])
+    def cgc_ratios(self) -> np.ndarray:
+        return np.array([r["cgc_ratio"] for r in self.rows])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
     """Immutable after build; run concurrent cycles only on separate copies."""
 
     levels: list
     coarse_lu: tuple
     smoother: str
-    nu_pre: int = 1
-    nu_post: int = 1
+    nu_pre: int
+    nu_post: int
 
     @property
     def depth(self) -> int:
@@ -156,34 +155,33 @@ def build_hierarchy(
     fine: StencilOperator,
     smoother: str = "gmres3",
     max_levels: int = 32,
-    coarsest_max: int = COARSEST_MAX,
     theta_count: int = 64,
-    inflate: float = 0.05,
-    with_designs: bool | None = None,
+    nu_pre: int = 1,
+    nu_post: int = 1,
 ) -> Hierarchy:
     """Build operators, per-level smoother parameters and the coarsest LU.
 
-    ``smoother`` is one of :data:`SMOOTHERS`.  Spectral designs (triangle +
-    optimized cubic weights) are computed for every level when it is ``poly3``
-    (the damped-Jacobi weights that realize the design are stored alongside),
-    or on request via ``with_designs``; an unstable level raises from the
-    weight optimizer.
-    Coarsening stops after ``max_levels`` levels, once a side is at most
-    ``coarsest_max``, or at an even size; the coarsest level, whatever its
-    size, is factored by dense LU, whose assembly raises above
-    ``DENSE_SIZE_CAP`` unknowns.
+    ``smoother`` is one of :data:`SMOOTHERS`.  With ``poly3`` every level gets
+    a spectral design (triangle + optimized cubic weights) and the
+    damped-Jacobi weights that realize it; an unstable level raises from the
+    weight optimizer.  Coarsening stops after ``max_levels`` levels, once a
+    side is at most :data:`COARSEST_MAX`, or at an even size; the coarsest
+    level, whatever its size, is factored by dense LU, whose assembly raises
+    above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and ``nu_post`` are the
+    smoothing counts of every cycle on the hierarchy.
     """
     if smoother not in SMOOTHERS:
         raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {smoother!r}")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    need_designs = smoother == "poly3" if with_designs is None else with_designs
+    if nu_pre < 0 or nu_post < 0:
+        raise ValueError("smoothing counts must be >= 0")
 
     ops = [fine]
     op = fine
     while (
         len(ops) < max_levels
-        and min(op.shape) > coarsest_max
+        and min(op.shape) > COARSEST_MAX
         and op.shape[0] % 2 == 1
         and op.shape[1] % 2 == 1
     ):
@@ -196,43 +194,33 @@ def build_hierarchy(
     for ell, op in enumerate(ops):
         design = None
         jac = None
-        if need_designs:
-            design = design_for_operator(
-                op, theta_count=theta_count, inflate=inflate, level=ell
-            )
+        if smoother == "poly3":
+            design = design_for_operator(op, theta_count=theta_count, level=ell)
             jac = jacobi_weights_for(design, op)
         levels.append(Level(op=op, design=design, jacobi_w=jac))
 
     a = ops[-1].assemble_dense()
     lu, piv = lu_factor(a)
-    return Hierarchy(levels=levels, coarse_lu=(lu, piv, ops[-1].shape), smoother=smoother)
+    return Hierarchy(levels, (lu, piv, ops[-1].shape), smoother, nu_pre, nu_post)
 
 
 def v_cycle(
     h: Hierarchy,
     b: np.ndarray,
     u: np.ndarray | None = None,
-    nu_pre: int | None = None,
-    nu_post: int | None = None,
     diagnostics: CycleDiagnostics | None = None,
     cycle_index: int = 0,
-):
-    """One V-cycle; returns ``(u, diagnostics)``.
+) -> np.ndarray:
+    """One V-cycle with the hierarchy's smoothing counts; returns ``u``.
 
     With poly3 smoothing the cycle is a fixed linear operator; with gmres
     smoothing it is not (the smoother re-selects its coefficients from the
     current defect each call).
     """
-    nu_pre = h.nu_pre if nu_pre is None else nu_pre
-    nu_post = h.nu_post if nu_post is None else nu_post
-    if nu_pre < 0 or nu_post < 0:
-        raise ValueError("smoothing counts must be >= 0")
-    b = np.asarray(b, dtype=complex)
-    u = _cycle(h, 0, b, u, nu_pre, nu_post, diagnostics, cycle_index)
-    return u, diagnostics
+    return _cycle(h, 0, np.asarray(b, dtype=complex), u, diagnostics, cycle_index)
 
 
-def _cycle(h, ell, b, u, nu_pre, nu_post, diag, cycle_index):
+def _cycle(h, ell, b, u, diag, cycle_index):
     """One visit of level ``ell``; ``u is None`` is the zero iterate, whose
     residual is ``b`` itself, so its first smoothing step skips an apply."""
     if ell == h.depth - 1:
@@ -242,7 +230,7 @@ def _cycle(h, ell, b, u, nu_pre, nu_post, diag, cycle_index):
     r = None
     if u is None:
         u, r = np.zeros_like(b), b
-    for _ in range(nu_pre):
+    for _ in range(h.nu_pre):
         u = h.smooth(ell, u, b, r)
         r = None
     if r is None:
@@ -251,13 +239,13 @@ def _cycle(h, ell, b, u, nu_pre, nu_post, diag, cycle_index):
         raise DivergenceError(f"divergence detected at level {ell}")
     pre_norm = float(np.linalg.norm(r)) if diag is not None else 0.0
 
-    ec = _cycle(h, ell + 1, restrict(r), None, nu_pre, nu_post, diag, cycle_index)
+    ec = _cycle(h, ell + 1, restrict(r), None, diag, cycle_index)
     u = u + prolong(ec)
 
     if diag is not None:
         post_cgc = float(np.linalg.norm(op.residual(b, u)))
         ratio = post_cgc / pre_norm if pre_norm > 0 else 0.0
-    for _ in range(nu_post):
+    for _ in range(h.nu_post):
         u = h.smooth(ell, u, b)
     if diag is not None:
         post_norm = float(np.linalg.norm(op.residual(b, u)))

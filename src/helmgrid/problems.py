@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
+    RAMPS,
     ConstantK,
     WedgeK,
     build_stretched_grid,
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_PPW = 10.0
+BASELINE_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class ProblemConfig:
             raise ValueError(f"sigma_max must be >= 0, got {self.sigma_max}")
         if self.layer_width is not None and not (0 <= self.layer_width <= self.n / 4):
             raise ValueError(f"layer_width must be in [0, n/4], got {self.layer_width}")
+        if self.ramp not in RAMPS:
+            raise ValueError(f"ramp must be 'linear' or 'quadratic', got {self.ramp!r}")
         if self.precond not in ("grid", "csl"):
             raise ValueError(f"precond must be 'grid' or 'csl', got {self.precond!r}")
         layer = default_layer_width(self.n) if self.layer_width is None else self.layer_width
@@ -119,6 +123,8 @@ class ProblemConfig:
         ks = (k.k0,) if isinstance(k, ConstantK) else (k.k_top, k.k_mid, k.k_bot)
         if not all(np.isfinite(v * v) and v > 0 for v in ks):
             raise ValueError(f"wave number k must be positive with a finite square, got {k}")
+        if isinstance(k, WedgeK) and not 0.0 < k.interfaces[0] < k.interfaces[1] < 1.0:
+            raise ValueError(f"wave number k needs wedge interfaces 0 < a < b < 1, got {k.interfaces}")
         return self
 
 
@@ -143,7 +149,7 @@ def build_operators(config: ProblemConfig) -> tuple[StencilOperator, StencilOper
     return physical_op, StencilOperator(g, kf, 1 + 1j * config.beta)
 
 
-def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Problem:
+def setup_problem(config: ProblemConfig) -> Problem:
     """Grids, operators, hierarchy and right-hand side for one configuration."""
     a_op, m_op = build_operators(config)
     hierarchy = build_hierarchy(
@@ -151,10 +157,9 @@ def setup_problem(config: ProblemConfig, with_designs: bool | None = None) -> Pr
         smoother=config.smoother,
         max_levels=config.levels,
         theta_count=config.theta_count,
-        with_designs=with_designs,
+        nu_pre=config.nu_pre,
+        nu_post=config.nu_post,
     )
-    hierarchy.nu_pre = config.nu_pre
-    hierarchy.nu_post = config.nu_post
     return Problem(
         config=config,
         physical_op=a_op,
@@ -177,8 +182,7 @@ def make_preconditioner(hierarchy: Hierarchy, diagnostics: CycleDiagnostics | No
     """One V-cycle from a zero guess, tagging cycles for the diagnostics log."""
     counter = itertools.count()
     def precondition(v):
-        u, _ = v_cycle(hierarchy, v, diagnostics=diagnostics, cycle_index=next(counter))
-        return u
+        return v_cycle(hierarchy, v, diagnostics=diagnostics, cycle_index=next(counter))
     return precondition
 
 
@@ -199,19 +203,21 @@ def solve(
         tol=config.tol,
         restart=config.restart,
         max_iter=config.max_iter,
-        diagnostics=diagnostics,
     )
+    report.diagnostics = diagnostics
     return x, report, problem
 
 
-def solve_baseline(config: ProblemConfig, max_iter: int = 2000, problem: Problem | None = None):
-    """Unpreconditioned restarted GMRES on the same physical system."""
+def solve_baseline(config: ProblemConfig, problem: Problem | None = None):
+    """Unpreconditioned restarted GMRES on the same physical system, capped at
+    :data:`BASELINE_MAX_ITER` iterations."""
     if problem is None:
         a_op, _ = build_operators(config)
         b = make_rhs(config)
     else:
         a_op, b = problem.physical_op, problem.b
-    return fgmres(a_op.apply, None, b, tol=config.tol, restart=config.restart, max_iter=max_iter)
+    return fgmres(a_op.apply, None, b, tol=config.tol, restart=config.restart,
+                  max_iter=BASELINE_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
 HIGH_FREQ_CUT = np.pi / 2
 DEGENERATE_THICKEN = 1e-6
 EDGE_CAP = 56  # hull edge directions are subsampled beyond this count
+TRIANGLE_DIRECTIONS = 60  # uniform support directions beside the hull's edges
 
 
 class ResonantDiagonalError(ValueError):
@@ -365,7 +366,7 @@ def _ccw(vertices: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def min_enclosing_triangle(hull, inflate: float = 0.05, directions: int = 60) -> Triangle:
+def min_enclosing_triangle(hull, inflate: float = 0.05) -> Triangle:
     """Near-minimal triangle containing the hull, inflated about its centroid.
 
     Candidates are triples of hull support lines (the hull's own edge lines
@@ -399,7 +400,7 @@ def min_enclosing_triangle(hull, inflate: float = 0.05, directions: int = 60) ->
             perp = -perp
         hull = convex_hull(np.concatenate([hull, hull + DEGENERATE_THICKEN * diam * perp]))
 
-    normals, offsets, n_flush = _support_lines(hull, directions)
+    normals, offsets, n_flush = _support_lines(hull, TRIANGLE_DIRECTIONS)
     areas, tris, flush = _triangle_candidates(normals, offsets, n_flush)
     if areas.size == 0:
         raise RuntimeError("triangle search found no bounded candidate")
@@ -585,12 +586,11 @@ def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> Smooth
 def design_for_operator(
     op: StencilOperator,
     theta_count: int = 64,
-    inflate: float = 0.05,
     level: int = 0,
 ) -> SpectralDesign:
     """samples -> hull -> oriented triangle -> optimized weights for one level."""
     samples = symbol_samples(op, theta_count=theta_count, level=level)
-    tri = min_enclosing_triangle(convex_hull(samples.points), inflate=inflate)
+    tri = min_enclosing_triangle(convex_hull(samples.points))
     tri = orient_lower_half(tri)
     hf = samples.hf_points
     if tri.flipped:

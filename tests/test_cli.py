@@ -42,6 +42,13 @@ class TestParsing:
         with pytest.raises(ValueError, match="key = value"):
             read_config_file(cfg)
 
+    def test_unknown_config_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("n = 15\nbogus = 1\n")
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("n = 15\nk = 10\nmax_iter = 7\n")
@@ -70,6 +77,20 @@ class TestParsing:
         assert echo.pop("k") == {"kind": "wedge", "k_top": 10.0, "k_mid": 20.0, "k_bot": 30.0,
                                  "interfaces": [1 / 3, 2 / 3]}
         assert echo == {key: value for key, value in values.items() if key != "k"}
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "spectrum"])
+    def test_flags_are_the_config_fields(self, command):
+        extra = ["--k-list", "10"] if command == "sweep" else []
+        args = cli.build_parser().parse_args([command, *extra])
+        own = {"command", "config", "out_dir", "diagnostics", "write_solution", "k_list", "ppw"}
+        assert set(vars(args)) - own == {f.name for f in fields(ProblemConfig)}
+
+    def test_smoothing_count_flags_reach_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--n", "15", "--k", "10", "--nu-pre", "2", "--nu-post", "2",
+                     "--out-dir", str(out)]) == 0
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert (echo["nu_pre"], echo["nu_post"]) == (2, 2)
 
     def test_pick_grid_size(self):
         assert pick_grid_size(10.0) == 15
@@ -113,6 +134,17 @@ class TestSolveCommand:
         assert "shift beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [("--ramp", "cubic"), ("--smoother", "sor"), ("--precond", "shift"), ("--rhs", "plane")],
+    )
+    def test_unknown_choice_names_field(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code = main(["solve", "--n", "15", "--k", "10", flag, value, "--out-dir", str(out)])
+        assert code == 1
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize(
         "flag, field", [("--tol", "tol"), ("--beta", "beta"), ("--sigma-max", "sigma_max")]
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -122,11 +154,26 @@ class TestSolveCommand:
         assert code == 1
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3", "1e200"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3", "1e200",
+                                       "wedge:10,20,30:0.8,0.2", "wedge:10,20,30:0,0.5"])
     def test_bad_wave_number_names_field(self, tmp_path, capsys, value):
-        code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(out)])
         assert code == 1
         assert "wave number k" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, value", [("n", "abc"), ("tol", "small"), ("k", "wedge:1,x,3")])
+    def test_unparsable_value_names_key(self, tmp_path, capsys, source, key, value):
+        if source == "flag":
+            args = [f"--{key}", value]
+        else:
+            (tmp_path / "case.cfg").write_text(f"{key} = {value}\n")
+            args = ["--config", str(tmp_path / "case.cfg")]
+        code = main(["solve", *args, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: cannot parse {value!r}")
 
     @pytest.mark.parametrize(
         "extra, fields",
@@ -237,21 +284,3 @@ class TestSpectrumCommand:
         for row in read_rows(out / "spectrum_triangles.csv")[1:]:
             for col in (2, 4, 6):  # v1_im, v2_im, v3_im
                 assert float(row[col]) <= 1e-12
-
-
-class TestBenchCommand:
-    def test_bench_csv(self, tmp_path):
-        out = tmp_path / "bench"
-        code = main(["bench", "--n", "33", "--k", "10", "--tiles", "8,full",
-                     "--reps", "1", "--out-dir", str(out)])
-        assert code == 0
-        rows = read_rows(out / "bench.csv")
-        assert rows[0][:5] == ["plan", "time_ms", "mlups", "flops_per_point",
-                               "est_bytes_per_point"]
-        assert rows[1][0] == "8x8"
-        assert rows[2][0] == "33x33"
-
-    def test_empty_tiles_rejected(self, tmp_path):
-        code = main(["bench", "--n", "33", "--k", "10", "--tiles", "",
-                     "--out-dir", str(tmp_path)])
-        assert code == 1

@@ -162,7 +162,7 @@ class TestFgmres:
         e = np.zeros((31, 31), dtype=complex)
         for j in range(n):
             e[j % 31, j // 31] = 1.0
-            m_dense[:, j] = op_m.vec(v_cycle(hier31_poly3, e)[0])
+            m_dense[:, j] = op_m.vec(v_cycle(hier31_poly3, e))
             e[j % 31, j // 31] = 0.0
         a_dense = op_a.assemble_dense()
         b = random_field((31, 31), seed=3)
@@ -238,6 +238,8 @@ class TestFgmres:
             fgmres(lambda v: v, None, np.ones(3), tol=0.0)
         with pytest.raises(ValueError, match="restart"):
             fgmres(lambda v: v, None, np.ones(3), restart=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            fgmres(lambda v: v, None, np.ones(3, dtype=complex), max_iter=0)
 
 
 class TestArnoldiCycle:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,11 @@ class TestCoarsening:
         with pytest.raises(ValueError, match="dense assembly capped"):
             build_hierarchy(make_operator(131, 20.0), max_levels=2)
 
+    @pytest.mark.parametrize("counts", [{"nu_pre": -1}, {"nu_post": -1}])
+    def test_negative_smoothing_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="smoothing counts"):
+            build_hierarchy(make_operator(15, 10.0), **counts)
+
 
 class TestTransfers:
     def test_restrict_preserves_constants(self):
@@ -128,7 +135,7 @@ class TestTransfers:
 
 class TestVCycle:
     def test_zero_rhs_zero_guess(self, hier31_gmres):
-        u, _ = v_cycle(hier31_gmres, np.zeros((31, 31), dtype=complex))
+        u = v_cycle(hier31_gmres, np.zeros((31, 31), dtype=complex))
         assert np.all(u == 0)
 
     def test_single_level_hierarchy_is_direct_solve(self):
@@ -136,23 +143,23 @@ class TestVCycle:
         h = build_hierarchy(op)  # 7 <= coarsest cap: one level
         assert h.depth == 1
         b = random_field((7, 7), seed=3)
-        u, _ = v_cycle(h, b)
+        u = v_cycle(h, b)
         assert np.linalg.norm(op.residual(b, u)) <= 1e-12 * np.linalg.norm(b)
 
     def test_poly3_cycle_is_linear(self, hier31_poly3):
         b1 = random_field((31, 31), seed=4)
         b2 = random_field((31, 31), seed=5)
-        u1, _ = v_cycle(hier31_poly3, b1)
-        u2, _ = v_cycle(hier31_poly3, b2)
-        u12, _ = v_cycle(hier31_poly3, b1 + b2)
+        u1 = v_cycle(hier31_poly3, b1)
+        u2 = v_cycle(hier31_poly3, b2)
+        u12 = v_cycle(hier31_poly3, b1 + b2)
         assert np.max(np.abs(u12 - (u1 + u2))) <= 1e-11 * np.max(np.abs(u12))
 
     def test_gmres_cycle_is_not_linear(self, hier31_gmres):
         b1 = random_field((31, 31), seed=6)
         b2 = random_field((31, 31), seed=7)
-        u1, _ = v_cycle(hier31_gmres, b1)
-        u2, _ = v_cycle(hier31_gmres, b2)
-        u12, _ = v_cycle(hier31_gmres, b1 + b2)
+        u1 = v_cycle(hier31_gmres, b1)
+        u2 = v_cycle(hier31_gmres, b2)
+        u12 = v_cycle(hier31_gmres, b1 + b2)
         assert np.max(np.abs(u12 - (u1 + u2))) > 1e-6 * np.max(np.abs(u12))
 
     def test_contraction_on_constant_coefficient_problem(self):
@@ -167,7 +174,7 @@ class TestVCycle:
         e = np.linalg.norm(u - u_star)
         ratios = []
         for _ in range(10):
-            u, _ = v_cycle(h, b, u)
+            u = v_cycle(h, b, u)
             e_new = np.linalg.norm(u - u_star)
             ratios.append(e_new / e)
             e = e_new
@@ -228,7 +235,7 @@ class TestAppliedCubic:
         # the same designs, smoothed once or twice on each side of the cycle
         config = ProblemConfig(n=127, k=ConstantK(80.0), smoother="poly3")
         _, once, problem = solve(config)
-        problem.hierarchy.nu_pre = problem.hierarchy.nu_post = 2
+        problem = replace(problem, hierarchy=replace(problem.hierarchy, nu_pre=2, nu_post=2))
         _, twice, _ = solve(config, problem=problem)
         assert once.converged and twice.converged
         assert twice.iterations < once.iterations
@@ -240,7 +247,7 @@ class TestDiagnostics:
         b = random_field((31, 31), seed=9)
         u = None
         for cycle in range(3):
-            u, _ = v_cycle(hier31_gmres, b, u, diagnostics=diag, cycle_index=cycle)
+            u = v_cycle(hier31_gmres, b, u, diagnostics=diag, cycle_index=cycle)
         # 3 cycles x (depth - 1) non-coarsest levels
         assert len(diag.rows) == 3 * (hier31_gmres.depth - 1)
         for cycle in range(3):
@@ -258,7 +265,7 @@ class TestDiagnostics:
         b = random_field((63, 63), seed=10)
         u = None
         for cycle in range(4):
-            u, _ = v_cycle(h, b, u, diagnostics=diag, cycle_index=cycle)
+            u = v_cycle(h, b, u, diagnostics=diag, cycle_index=cycle)
         ratios = diag.cgc_ratios()
         assert ratios.size == 4 * (h.depth - 1)
         assert np.all(np.isfinite(ratios))
