@@ -46,7 +46,6 @@ from .spectrum import (
     design_for_operator,
     min_enclosing_triangle,
     optimize_weights,
-    orient_lower_half,
     poly_max_on_boundary,
     symbol_samples,
 )

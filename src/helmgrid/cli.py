@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import typing
 from dataclasses import fields, replace
@@ -62,6 +63,17 @@ def parse_k_spec(text: str):
             return WedgeK(ks[0], ks[1], ks[2], interfaces=(a, b))
         return WedgeK(ks[0], ks[1], ks[2])
     return ConstantK(float(text))
+
+
+def parse_positive(key: str, text: str) -> list[float]:
+    """Comma-separated finite, positive numbers; an error names ``key``."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{key} must be finite and > 0, got {text!r}")
+    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -249,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--k-list", dest="k_list", required=True,
                          help="comma-separated wave numbers, e.g. 10,20,40,80")
-    p_sweep.add_argument("--ppw", type=float, default=DEFAULT_PPW,
+    p_sweep.add_argument("--ppw", default=str(DEFAULT_PPW),
                          help="points per wavelength fixing n per k")
 
     p_spec = sub.add_parser("spectrum", help="per-level symbol samples, triangles, weights")
@@ -267,8 +279,11 @@ def main(argv=None) -> int:
             return run_solve(config, out_dir, diagnostics=args.diagnostics,
                              write_solution=args.write_solution)
         if args.command == "sweep":
-            k_list = [float(v) for v in args.k_list.split(",")]
-            return run_sweep(k_list, args.ppw, config, out_dir)
+            k_list = parse_positive("k_list", args.k_list)
+            ppw = parse_positive("ppw", args.ppw)
+            if len(ppw) != 1:
+                raise ValueError(f"ppw: cannot parse {args.ppw!r} (expected one number)")
+            return run_sweep(k_list, ppw[0], config, out_dir)
         if args.command == "spectrum":
             return run_spectrum(config, out_dir)
         raise ValueError(f"unknown command {args.command!r}")

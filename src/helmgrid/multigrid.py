@@ -26,6 +26,7 @@ __all__ = [
     "CycleDiagnostics",
     "DivergenceError",
     "build_hierarchy",
+    "level_shapes",
     "coarsen_grid",
     "coarsen_field",
     "restrict",
@@ -39,6 +40,19 @@ SMOOTHERS = ("poly3", "gmres3")
 
 class DivergenceError(RuntimeError):
     """Non-finite values appeared during a cycle."""
+
+
+def level_shapes(shape: tuple[int, int], max_levels: int = 32) -> list[tuple[int, int]]:
+    """Shapes of the levels a hierarchy on a ``shape`` grid gets: each level
+    keeps every other node of the one above, and coarsening stops after
+    ``max_levels`` levels, once a side is at most :data:`COARSEST_MAX`, or at
+    an even side."""
+    shapes = [tuple(shape)]
+    while len(shapes) < max_levels and min(shapes[-1]) > COARSEST_MAX and all(
+        s % 2 for s in shapes[-1]
+    ):
+        shapes.append(tuple((s - 1) // 2 for s in shapes[-1]))
+    return shapes
 
 
 def coarsen_grid(g: ComplexGrid) -> ComplexGrid:
@@ -164,10 +178,9 @@ def build_hierarchy(
     ``smoother`` is one of :data:`SMOOTHERS`.  With ``poly3`` every level gets
     a spectral design (triangle + optimized cubic weights) and the
     damped-Jacobi weights that realize it; an unstable level raises from the
-    weight optimizer.  Coarsening stops after ``max_levels`` levels, once a
-    side is at most :data:`COARSEST_MAX`, or at an even size; the coarsest
-    level, whatever its size, is factored by dense LU, whose assembly raises
-    above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and ``nu_post`` are the
+    weight optimizer.  The levels have the shapes :func:`level_shapes` gives;
+    the coarsest level, whatever its size, is factored by dense LU, whose
+    assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and ``nu_post`` are the
     smoothing counts of every cycle on the hierarchy.
     """
     if smoother not in SMOOTHERS:
@@ -178,17 +191,9 @@ def build_hierarchy(
         raise ValueError("smoothing counts must be >= 0")
 
     ops = [fine]
-    op = fine
-    while (
-        len(ops) < max_levels
-        and min(op.shape) > COARSEST_MAX
-        and op.shape[0] % 2 == 1
-        and op.shape[1] % 2 == 1
-    ):
-        g = coarsen_grid(op.grid)
-        kf = coarsen_field(op.k_field)
-        op = StencilOperator(g, kf, op.shift)
-        ops.append(op)
+    for _ in level_shapes(fine.shape, max_levels)[1:]:
+        op = ops[-1]
+        ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift))
 
     levels = []
     for ell, op in enumerate(ops):

@@ -24,7 +24,8 @@ from .grid import (
     rotate_grid,
 )
 from .krylov import fgmres
-from .multigrid import COARSEST_MAX, SMOOTHERS, CycleDiagnostics, Hierarchy, build_hierarchy, v_cycle
+from .multigrid import (COARSEST_MAX, SMOOTHERS, CycleDiagnostics, Hierarchy, build_hierarchy,
+                        level_shapes, v_cycle)
 from .stencil import DENSE_SIZE_CAP, StencilOperator
 
 __all__ = [
@@ -100,7 +101,7 @@ class ProblemConfig:
             raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        _, coarsest = _coarsening_depth(self.n, self.levels)
+        coarsest = level_shapes((self.n, self.n), self.levels)[-1][0]
         if coarsest * coarsest > DENSE_SIZE_CAP:
             raise ValueError(
                 f"grid size n={self.n} with levels={self.levels} leaves a "
@@ -117,6 +118,8 @@ class ProblemConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.rhs not in ("point", "random"):
             raise ValueError(f"rhs must be 'point' or 'random', got {self.rhs!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.theta_count < 8:
             raise ValueError(f"theta_count must be >= 8, got {self.theta_count}")
         k = self.k
@@ -224,15 +227,6 @@ def solve_baseline(config: ProblemConfig, problem: Problem | None = None):
 # wave-number sweep
 
 
-def _coarsening_depth(n: int, max_levels: int = 32) -> tuple[int, int]:
-    """Levels and coarsest size that :func:`build_hierarchy` reaches from n."""
-    depth = 1
-    while depth < max_levels and n > COARSEST_MAX and n % 2 == 1:
-        n = (n - 1) // 2
-        depth += 1
-    return depth, n
-
-
 def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int:
     """Odd n with k*h within ``tol`` of the 2*pi/ppw target, preferring sizes
     whose repeated halving reaches the coarsest-level cap."""
@@ -243,9 +237,9 @@ def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int
     for n in range(max(lo, 3), hi + 1):
         if n % 2 == 0:
             continue
-        depth, coarsest = _coarsening_depth(n)
+        shapes = level_shapes((n, n))
         kh_err = abs(k / (n + 1) / target - 1.0)
-        score = (coarsest <= COARSEST_MAX, depth, -kh_err)
+        score = (shapes[-1][0] <= COARSEST_MAX, len(shapes), -kh_err)
         if best is None or score > best[0]:
             best = (score, n)
     if best is None:

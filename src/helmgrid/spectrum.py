@@ -19,10 +19,14 @@ The LP rounds are the bulk of a design's time.
 
 Normalization: samples are the operator symbol divided by the diagonal of its
 second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
-with ``hc`` the complex (gamma-scaled, stretched) spacing.  With a positive
-shift this places every sample in the closed lower half-plane, which is what
-makes a lower-half bounding triangle possible; normalizing by the full
-diagonal ``4/hc^2 - s*k^2`` instead would rotate the set across the real axis.
+with ``hc`` the complex (gamma-scaled, stretched) spacing.  A layer spacing
+``h(1 + i*sigma)`` under the shift ``1 + i*beta`` gives ``Im(mu) <= 0`` while
+``Im((1 + i*beta)(1 + i*sigma)^2) >= 0``, which is the ``sigma_max`` bound that
+``ProblemConfig.validate`` sets for ``precond = "grid"``; coarse spacings are
+sums of fine ones, so there every sample on every level lies in the closed
+lower half-plane.  With ``"csl"`` past that bound, each level's triangle
+encloses its samples where they lie.  Normalizing by the full diagonal
+``4/hc^2 - s*k^2`` instead would rotate the set across the real axis.
 The smoother damps with the same diagonal (``StencilOperator.grid_diagonal``),
 so the designed weights are the damped-Jacobi weights, with no conversion.
 """
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,11 +50,9 @@ __all__ = [
     "SpectralDesign",
     "ResonantDiagonalError",
     "UnstableLevelError",
-    "HalfPlaneWarning",
     "symbol_samples",
     "convex_hull",
     "min_enclosing_triangle",
-    "orient_lower_half",
     "optimize_weights",
     "poly_max_on_boundary",
     "design_for_operator",
@@ -80,10 +81,6 @@ class UnstableLevelError(RuntimeError):
             f"unstable level {level}: best stability {stability:.6g}, "
             f"smoothing {smoothing:.6g}"
         )
-
-
-class HalfPlaneWarning(UserWarning):
-    """Spectrum straddles the real axis by more than 5% of its diameter."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +115,6 @@ class Triangle:
     v1: complex
     v2: complex
     v3: complex
-    flipped: bool = False
 
     @property
     def vertices(self) -> np.ndarray:
@@ -180,7 +176,8 @@ class SmootherWeights:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDesign:
-    """Everything the smoother needs for one level."""
+    """Everything the smoother needs for one level: ``triangle`` contains the
+    level's symbol samples, and ``Level.jacobi_w`` equals ``weights``."""
 
     triangle: Triangle
     weights: SmootherWeights
@@ -423,32 +420,7 @@ def min_enclosing_triangle(hull, inflate: float = 0.05) -> Triangle:
 
 def _inflate(t: Triangle, inflate: float) -> Triangle:
     c = t.centroid
-    v = c + (1.0 + inflate) * (t.vertices - c)
-    return Triangle(complex(v[0]), complex(v[1]), complex(v[2]), flipped=t.flipped)
-
-
-def orient_lower_half(t: Triangle) -> Triangle:
-    """Conjugate the triangle if it leans into the upper half-plane.
-
-    Emits :class:`HalfPlaneWarning` (diagnostic, not fatal) when the triangle
-    straddles the real axis by more than 5% of its diameter on both sides.
-    """
-    v = t.vertices
-    top, bottom = float(v.imag.max()), float(v.imag.min())
-    flipped = t.flipped
-    if top > abs(bottom):
-        v = np.conj(v)
-        v = _ccw(v)
-        top, bottom = float(v.imag.max()), float(v.imag.min())
-        flipped = not flipped
-    scale = 0.05 * max(t.diameter, 1e-300)
-    if top > scale and -bottom > scale:
-        warnings.warn(
-            f"spectrum not half-plane-bounded: triangle spans Im in "
-            f"[{bottom:.3g}, {top:.3g}]",
-            HalfPlaneWarning,
-        )
-    return Triangle(complex(v[0]), complex(v[1]), complex(v[2]), flipped=flipped)
+    return Triangle(*(complex(v) for v in c + (1.0 + inflate) * (t.vertices - c)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +560,17 @@ def design_for_operator(
     theta_count: int = 64,
     level: int = 0,
 ) -> SpectralDesign:
-    """samples -> hull -> oriented triangle -> optimized weights for one level."""
+    """samples -> hull -> triangle -> optimized weights for one level."""
     samples = symbol_samples(op, theta_count=theta_count, level=level)
     tri = min_enclosing_triangle(convex_hull(samples.points))
-    tri = orient_lower_half(tri)
-    hf = samples.hf_points
-    if tri.flipped:
-        hf = np.conj(hf)
-    hf_hull = convex_hull(hf)
+    hf_hull = convex_hull(samples.hf_points)
     weights = optimize_weights(tri, hf_hull, level=level)
     return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull, level=level)
 
 
 def jacobi_weights_for(design: SpectralDesign, op: StencilOperator) -> tuple[complex, complex, complex]:
-    """Damped-Jacobi weights realizing the designed cubic on ``op``.
-
-    Damped Jacobi divides by the second-difference diagonal, the normalization
-    the cubic is certified in, so these are the design weights themselves,
-    conjugated when the triangle was flipped into the lower half-plane.
-    ``op`` is not read; ``perfbench/tracing.py`` keys its span on its shape.
-    """
-    w = np.conj(design.weights.w) if design.triangle.flipped else design.weights.w
-    return (complex(w[0]), complex(w[1]), complex(w[2]))
+    """Damped-Jacobi weights realizing the designed cubic on ``op``: the
+    design weights, as damped Jacobi divides by the diagonal the cubic is
+    certified in.  ``op`` is not read; ``perfbench/tracing.py`` keys its span
+    on its shape."""
+    return (design.weights.w1, design.weights.w2, design.weights.w3)

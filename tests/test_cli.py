@@ -135,7 +135,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--ramp", "cubic"), ("--smoother", "sor"), ("--precond", "shift"), ("--rhs", "plane")],
+        [("--ramp", "cubic"), ("--smoother", "sor"), ("--precond", "shift"), ("--rhs", "plane"),
+         ("--seed", "-1")],
     )
     def test_unknown_choice_names_field(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -257,6 +258,25 @@ class TestSweepCommand:
         main(["sweep", "--k-list", "10,20", "--out-dir", str(tmp_path / "w")])
         fit = json.loads((tmp_path / "w" / "sweep_fit.json").read_text())
         assert set(fit) == {"slope", "intercept", "r_squared"}
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--k-list", "10,abc"], "k_list: cannot parse '10,abc'"),
+            (["--k-list", "nan"], "k_list must be finite and > 0"),
+            (["--k-list", "10,-5"], "k_list must be finite and > 0"),
+            (["--k-list", "10", "--ppw", "x"], "ppw: cannot parse 'x'"),
+            (["--k-list", "10", "--ppw", "1,2"], "ppw: cannot parse '1,2'"),
+            (["--k-list", "10", "--ppw", "0"], "ppw must be finite and > 0"),
+            (["--k-list", "10", "--ppw", "inf"], "ppw must be finite and > 0"),
+        ],
+    )
+    def test_bad_sweep_flag_names_key(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        code = main(["sweep", *extra, "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestSpectrumCommand:

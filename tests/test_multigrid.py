@@ -13,7 +13,7 @@ from helmgrid import (
     restrict,
     v_cycle,
 )
-from helmgrid.multigrid import coarsen_field, coarsen_grid
+from helmgrid.multigrid import coarsen_field, coarsen_grid, level_shapes
 from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
 from helmgrid.problems import ProblemConfig, build_operators, solve
 from tests.conftest import make_operator, random_field
@@ -70,6 +70,14 @@ class TestCoarsening:
         assert h.levels[-1].shape == (31, 31)
         with pytest.raises(ValueError, match="dense assembly capped"):
             build_hierarchy(make_operator(131, 20.0), max_levels=2)
+
+    @pytest.mark.parametrize(
+        "n, max_levels", [(5, 32), (9, 32), (11, 32), (21, 32), (30, 32), (63, 32), (63, 3), (63, 2)]
+    )
+    def test_level_shapes_are_the_built_shapes(self, n, max_levels):
+        # odd sides above COARSEST_MAX halve; an even side or the cap stops
+        h = build_hierarchy(make_operator(n, 5.0), max_levels=max_levels)
+        assert [lv.shape for lv in h.levels] == level_shapes((n, n), max_levels)
 
     @pytest.mark.parametrize("counts", [{"nu_pre": -1}, {"nu_post": -1}])
     def test_negative_smoothing_count_rejected(self, counts):

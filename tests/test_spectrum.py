@@ -15,7 +15,6 @@ from helmgrid import (
     convex_hull,
     min_enclosing_triangle,
     optimize_weights,
-    orient_lower_half,
     poly_max_on_boundary,
     symbol_samples,
 )
@@ -278,30 +277,6 @@ class TestMinEnclosingTriangle:
         assert np.all(t.contains(seg, slack=1e-9))
 
 
-class TestOrientLowerHalf:
-    def test_lower_triangle_unchanged(self):
-        t = Triangle(0 - 0.1j, 2 - 0.1j, 1 - 1j)
-        o = orient_lower_half(t)
-        assert not o.flipped
-        np.testing.assert_allclose(np.sort(o.vertices.imag), np.sort(t.vertices.imag))
-
-    def test_conjugate_gets_flipped_back(self):
-        t = Triangle(0 + 0.1j, 1 + 1j, 2 + 0.1j)
-        o = orient_lower_half(t)
-        assert o.flipped
-        assert np.max(o.vertices.imag) <= -0.1 + 1e-12
-
-    def test_real_segment_triangle_unchanged(self):
-        t = Triangle(0.0 + 0j, 2.0 + 0j, 1.0 - 1e-6j)
-        o = orient_lower_half(t)
-        assert not o.flipped
-
-    def test_straddling_warns(self):
-        t = Triangle(0 + 1j, 2 + 1j, 1 - 1.1j)
-        with pytest.warns(UserWarning, match="half-plane"):
-            orient_lower_half(t)
-
-
 class TestOptimizeWeights:
     def test_real_segment_chebyshev_oracle(self):
         # the best degree-3 residual polynomial on [0.5, 2] is the scaled
@@ -391,11 +366,24 @@ class TestDesignPipeline:
         # every level, stretched ones included, runs the design weights as is
         for hier in (hier31_poly3, hier31_stretched_poly3):
             for level in hier.levels:
-                w = level.design.weights.w
-                want = np.conj(w) if level.design.triangle.flipped else w
+                want = level.design.weights.w
                 got = np.array(level.jacobi_w)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_design_frame_is_sample_frame_past_grid_bound(self):
+        # with csl past the grid preconditioner's sigma_max bound the outer
+        # layer's samples cross the real axis; each level's triangle must still
+        # contain that level's own samples and certify the weights that run
+        config = ProblemConfig(n=63, k=ConstantK(20.0), sigma_max=6.0, precond="csl",
+                               smoother="poly3")
+        for ell, level in enumerate(setup_problem(config).hierarchy.levels):
+            d = level.design
+            ss = symbol_samples(level.op, level=ell)
+            assert np.all(d.triangle.contains(ss.points, slack=1e-10))
+            assert d.weights.achieved_stability <= 1.0 + 1e-8
+            got, want = np.array(level.jacobi_w), d.weights.w
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_polygon_boundary_points_cover_segment(self):
         pts = polygon_boundary_points(np.array([0.0 + 0j, 1.0 + 0j]), total=100)
