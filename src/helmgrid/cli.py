@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep
+from .problems import DEFAULT_PPW, ProblemConfig, pick_grid_size, setup_problem, solve, sweep
 from .spectrum import UnstableLevelError, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
@@ -48,6 +48,14 @@ def write_report(out_dir: Path, payload: dict) -> Path:
     path = out_dir / "report.json"
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path
+
+
+def write_failure_report(out_dir: Path, config: ProblemConfig, exc: Exception) -> Path:
+    """``report.json`` for a run that raised: the config echo, the status
+    (``unstable_level`` or ``divergence``) and the error text."""
+    status = "unstable_level" if isinstance(exc, UnstableLevelError) else "divergence"
+    return write_report(out_dir, {"config": config_summary(config), "status": status,
+                                  "error": str(exc)})
 
 
 def parse_k_spec(text: str):
@@ -138,9 +146,7 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
     try:
         x, report, problem = solve(config, collect_diagnostics=diagnostics)
     except (UnstableLevelError, DivergenceError) as exc:
-        status = "unstable_level" if isinstance(exc, UnstableLevelError) else "divergence"
-        write_report(out_dir, {"config": config_summary(config), "status": status,
-                               "error": str(exc)})
+        write_failure_report(out_dir, config, exc)
         raise
 
     write_report(out_dir, {"config": config_summary(config), "report": report.to_dict()})
@@ -175,6 +181,8 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
 
 
 def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
+    for k in k_list:  # a k with no grid size fails before the directory exists
+        pick_grid_size(k, ppw)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, fit = sweep(k_list, ppw=ppw, base=config)
     write_csv(
@@ -195,7 +203,12 @@ def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
 
 def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem = setup_problem(replace(config, smoother="poly3"))
+    config = replace(config, smoother="poly3")
+    try:
+        problem = setup_problem(config)
+    except UnstableLevelError as exc:
+        write_failure_report(out_dir, config, exc)
+        raise
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):

@@ -10,12 +10,16 @@ high-frequency part of the spectrum.
 In its coefficients the cubic's design is convex: a complex Chebyshev
 problem solved as a cutting-plane linear program (Streit & Nuttall, 1982),
 with |p| <= 1 - 1e-6 on triangle cuts and the high-frequency maximum within
-0.1% of the sampled optimum (see :func:`optimize_weights`).
+0.1% of the optimum on the hull's boundary (see :func:`optimize_weights`).
+Both maxima are exact per edge: along an edge ``|p|^2`` is a real sextic, so
+its maxima are roots of a quintic, and by the maximum-modulus principle the
+triangle's edges certify the whole triangle.
 
 Each frozen pair's samples share one imaginary part, so :func:`convex_hull`
 keeps only the two ends of every such horizontal run before its monotone
 chain; a level's hull costs two points per pair rather than ``theta_count^2``.
-The LP rounds are the bulk of a design's time.
+The LP rounds take about half of a design's time, the triangle search most
+of the rest.
 
 Normalization: samples are the operator symbol divided by the diagonal of its
 second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
@@ -435,33 +439,66 @@ def poly_max_on_boundary(weights, samples) -> float:
     return float(np.max(np.abs(p)))
 
 
-def polygon_boundary_points(vertices: np.ndarray, total: int = 768) -> np.ndarray:
-    """Points along a polygon/segment boundary, roughly ``total`` of them."""
-    v = np.asarray(vertices, dtype=complex)
-    if v.size == 1:
-        return v.copy()
-    if v.size == 2:
-        return v[0] + np.linspace(0.0, 1.0, total) * (v[1] - v[0])
-    lengths = np.abs(np.roll(v, -1) - v)
-    weights = lengths / lengths.sum()
-    pieces = []
-    for i in range(len(v)):
-        m = max(8, int(round(total * weights[i])))
-        t = np.linspace(0.0, 1.0, m, endpoint=False)
-        pieces.append(v[i] + t * (v[(i + 1) % len(v)] - v[i]))
-    return np.concatenate(pieces)
-
-
-_DENSE_PER_EDGE = 65536  # certificate sampling per triangle edge
-_DENSE_HF_TOTAL = 3 * 16384  # certificate sampling of the high-frequency hull
 _LP_TOL = 1e-10  # LP feasibility tolerance; coarse levels reach smoothing ~5e-6
 _LP_MARGIN = 1e-6  # triangle cuts hold |p| <= 1 - margin, well above _LP_TOL
 _HF_GAP = 1e-3  # accepted relative gap on the high-frequency max, plus an
 _HF_SLACK = 1e-9  # absolute slack above _LP_TOL so that the cut loop ends
-_START_PER_EDGE = 32
 _START_DIRECTIONS = 8
-_CUTS_PER_ROUND = 64
 _MAX_ROUNDS = 60
+_ROOT_IMAG_TOL = 1e-4  # rounding moves near-multiple real roots off the axis
+
+
+def _edges(vertices: np.ndarray):
+    """Start points and directions of a closed polygon's edges; a segment is
+    one edge and a single point one edge of length zero."""
+    v = np.asarray(vertices, dtype=complex)
+    if v.size <= 2:
+        return v[:1], v[-1:] - v[:1]
+    return v, np.roll(v, -1) - v
+
+
+def _boundary_critical_points(coeffs, vertices) -> np.ndarray:
+    """The vertices plus every interior critical point of ``|p|`` on the edges
+    of a closed polygon, a segment or a point, where ``coeffs = (c0, c1, c2,
+    c3)`` and ``p(z) = c0 + c1 z + c2 z^2 + c3 z^3``.
+
+    On an edge ``z = z0 + t d``, ``q(t) = p(z0 + t d)`` has the coefficients
+    ``p^(k)(z0) d^k / k!``, so ``|q|^2`` is a real sextic in ``t`` whose
+    maxima on (0, 1) are real roots of its derivative, a quintic.  The quintics
+    are solved together as 5x5 companion eigenvalue problems; an edge whose
+    leading coefficient vanishes (``c3 = 0`` or a zero-length edge) falls back
+    to :func:`numpy.roots` on its trimmed polynomial.  The largest ``|p|`` over
+    the returned points is the largest over the boundary, up to rounding.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    z0, d = _edges(vertices)
+    b = np.stack([
+        c[0] + z0 * (c[1] + z0 * (c[2] + z0 * c[3])),
+        c[1] + z0 * (2.0 * c[2] + 3.0 * c[3] * z0),
+        c[2] + 3.0 * c[3] * z0,
+        np.full(z0.shape, c[3]),
+    ], axis=1) * d[:, None] ** np.arange(4)
+    sextic = np.zeros((z0.size, 7))
+    for j in range(4):
+        for k in range(4):
+            sextic[:, j + k] += (b[:, j] * np.conj(b[:, k])).real
+    s = sextic[:, 1:] * np.arange(1, 7)  # the derivative, ascending powers
+    # coefficients below 1e-14 of an edge's largest are rounding, not degree
+    significant = np.abs(s) > 1e-14 * np.max(np.abs(s), axis=1, keepdims=True)
+    full = significant[:, 5]
+    companion = np.zeros((int(full.sum()), 5, 5))
+    companion[:, 1:, :-1] = np.eye(4)
+    companion[:, :, -1] = -s[full, :5] / s[full, 5:]
+    edge = [np.repeat(np.flatnonzero(full), 5)]
+    t = [np.linalg.eigvals(companion).ravel()]
+    for e in np.flatnonzero(~full & significant.any(axis=1)):
+        top = np.flatnonzero(significant[e])[-1]
+        t.append(np.roots(s[e, top::-1]).astype(complex))
+        edge.append(np.full(t[-1].size, e))
+    edge, t = np.concatenate(edge), np.concatenate(t)
+    keep = (np.abs(t.imag) <= _ROOT_IMAG_TOL) & (t.real > 0.0) & (t.real < 1.0)
+    interior = z0[edge[keep]] + t.real[keep] * d[edge[keep]]
+    return np.concatenate([np.asarray(vertices, dtype=complex).ravel(), interior])
 
 
 def _cut_rows(z: np.ndarray, phi: np.ndarray, t_coef: float, limit: float):
@@ -476,14 +513,6 @@ def _cut_rows(z: np.ndarray, phi: np.ndarray, t_coef: float, limit: float):
     return rows, limit - c.real
 
 
-def _worst_peaks(excess: np.ndarray) -> np.ndarray:
-    """Indices of up to ``_CUTS_PER_ROUND`` positive local maxima of a
-    boundary sampling (cyclic order), largest first."""
-    peak = (excess > 0) & (excess >= np.roll(excess, 1)) & (excess >= np.roll(excess, -1))
-    idx = np.flatnonzero(peak)
-    return idx[np.argsort(excess[idx])[::-1][:_CUTS_PER_ROUND]]
-
-
 def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> SmootherWeights:
     """Weights whose cubic has the least max |p| on the high-frequency hull
     boundary subject to |p| <= 1 on the triangle boundary, from an LP.
@@ -491,30 +520,29 @@ def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> Smooth
     With ``p(z) = 1 + a1 z + a2 z^2 + a3 z^3``, ``Re(e^{-i phi} p(z)) <= |p(z)|``
     is linear in ``(Re ak, Im ak)``, so each point and direction gives a cut:
     ``<= t`` on hull points (the objective is ``t``) and ``<= 1 - 1e-6`` on
-    triangle points, a margin above the LP's feasibility tolerance.  From 32
-    points per edge in 8 directions, each round solves the LP (HiGHS),
-    evaluates ``p`` on the dense certificate samplings and cuts at the worst
-    peaks with ``phi = arg p(z)``, until |p| <= 1 on the triangle and
-    ``|p| <= t (1 + 1e-3) + 1e-9`` on the hull.  As ``t`` is a lower bound,
-    the smoothing factor is within 0.1% of the sampled problem's optimum.
+    triangle points, a margin above the LP's feasibility tolerance.  From
+    cuts at the vertices in 8 directions, each round solves the LP (HiGHS),
+    finds the boundary maxima of ``|p|`` exactly, edge by edge
+    (:func:`_boundary_critical_points`), and cuts with ``phi = arg p(z)``
+    wherever |p| > 1 on the triangle or ``|p| > t (1 + 1e-3) + 1e-9`` on the
+    hull.  As ``t`` is a lower bound, the smoothing factor is within 0.1% of
+    the optimum over the whole boundary.
 
-    The weights are the cubic's reciprocal roots.  Raises
-    :class:`UnstableLevelError` when the LP is infeasible or the dense
-    recheck finds stability above 1 + 1e-8.
+    The weights are the cubic's reciprocal roots, and the certificate is
+    their cubic's exact maximum on each edge.  Raises
+    :class:`UnstableLevelError` when the LP is infeasible or the certified
+    stability exceeds 1 + 1e-8.
     """
     hf_hull = np.asarray(hf_hull, dtype=complex)
     if hf_hull.size == 0:
         raise ValueError("high-frequency hull must be nonempty")
-    tri_dense = t.boundary_points(_DENSE_PER_EDGE)
-    hf_dense = polygon_boundary_points(hf_hull, _DENSE_HF_TOTAL)
+    tri_v = t.vertices
     limit = 1.0 - _LP_MARGIN
 
     phi0 = 2.0 * np.pi * np.arange(_START_DIRECTIONS) / _START_DIRECTIONS
-    tri0 = tri_dense[:: _DENSE_PER_EDGE // _START_PER_EDGE]
-    hf0 = hf_dense[:: _DENSE_HF_TOTAL // (3 * _START_PER_EDGE)]
     blocks = [
-        _cut_rows(np.repeat(tri0, phi0.size), np.tile(phi0, tri0.size), 0.0, limit),
-        _cut_rows(np.repeat(hf0, phi0.size), np.tile(phi0, hf0.size), -1.0, 0.0),
+        _cut_rows(np.repeat(tri_v, phi0.size), np.tile(phi0, tri_v.size), 0.0, limit),
+        _cut_rows(np.repeat(hf_hull, phi0.size), np.tile(phi0, hf_hull.size), -1.0, 0.0),
     ]
     cost = np.zeros(7)
     cost[6] = 1.0
@@ -532,20 +560,25 @@ def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> Smooth
         if not res.success:
             raise RuntimeError(f"weight LP failed on level {level}: {res.message}")
         a = res.x[0:6:2] + 1j * res.x[1:6:2]
-        p_tri = 1.0 + tri_dense * (a[0] + tri_dense * (a[1] + tri_dense * a[2]))
-        p_hf = 1.0 + hf_dense * (a[0] + hf_dense * (a[1] + hf_dense * a[2]))
-        bad_tri = _worst_peaks(np.abs(p_tri) - 1.0)
-        bad_hf = _worst_peaks(np.abs(p_hf) - (res.x[6] * (1.0 + _HF_GAP) + _HF_SLACK))
-        if bad_tri.size == 0 and bad_hf.size == 0:
+        coeffs = np.concatenate(([1.0], a))
+        z_tri = _boundary_critical_points(coeffs, tri_v)
+        z_hf = _boundary_critical_points(coeffs, hf_hull)
+        p_tri = 1.0 + z_tri * (a[0] + z_tri * (a[1] + z_tri * a[2]))
+        p_hf = 1.0 + z_hf * (a[0] + z_hf * (a[1] + z_hf * a[2]))
+        bad_tri = np.abs(p_tri) > 1.0
+        bad_hf = np.abs(p_hf) > res.x[6] * (1.0 + _HF_GAP) + _HF_SLACK
+        if not (bad_tri.any() or bad_hf.any()):
             break
-        blocks.append(_cut_rows(tri_dense[bad_tri], np.angle(p_tri[bad_tri]), 0.0, limit))
-        blocks.append(_cut_rows(hf_dense[bad_hf], np.angle(p_hf[bad_hf]), -1.0, 0.0))
+        blocks.append(_cut_rows(z_tri[bad_tri], np.angle(p_tri[bad_tri]), 0.0, limit))
+        blocks.append(_cut_rows(z_hf[bad_hf], np.angle(p_hf[bad_hf]), -1.0, 0.0))
 
     w = np.zeros(3, dtype=complex)
     roots = np.roots(a[::-1].tolist() + [1.0])  # the degree drops when a3 = 0
     w[: roots.size] = 1.0 / roots
-    stability = poly_max_on_boundary(w, tri_dense)
-    smoothing = poly_max_on_boundary(w, hf_dense)
+    # np.poly(w) lists (1, -e1, e2, -e3), the ascending coefficients of the
+    # weights' own cubic prod(1 - wi z)
+    stability = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), tri_v))
+    smoothing = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), hf_hull))
     if stability > 1.0 + 1e-8:
         raise UnstableLevelError(level, tuple(w), stability, smoothing)
     return SmootherWeights(*(complex(v) for v in w), stability, smoothing)

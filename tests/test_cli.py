@@ -278,6 +278,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    def test_k_without_grid_size_makes_no_directory(self, tmp_path, capsys):
+        # k = 1 at 10 points per wavelength wants n < 3; no grid size fits
+        out = tmp_path / "out"
+        code = main(["sweep", "--k-list", "10,1", "--out-dir", str(out)])
+        assert code == 1
+        assert "for k=1.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_row_counts_match_declared_samples(self, tmp_path):
@@ -304,3 +312,17 @@ class TestSpectrumCommand:
         for row in read_rows(out / "spectrum_triangles.csv")[1:]:
             for col in (2, 4, 6):  # v1_im, v2_im, v3_im
                 assert float(row[col]) <= 1e-12
+
+    def test_unstable_level_writes_report(self, tmp_path, capsys):
+        # the wedge 10/20/40 leaves no stable cubic on the finest level
+        out = tmp_path / "spec"
+        code = main(["spectrum", "--n", "63", "--k", "wedge:10,20,40", "--out-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unstable level")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "unstable_level"
+        assert report["error"] == err.removeprefix("error: ").strip()
+        assert report["config"]["k"]["kind"] == "wedge"
+        assert report["config"]["smoother"] == "poly3"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]

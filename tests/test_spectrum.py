@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from helmgrid import (
     ConstantK,
@@ -22,7 +23,9 @@ from helmgrid.grid import WavenumberField
 from helmgrid.spectrum import (
     ResonantDiagonalError,
     SmootherWeights,
-    polygon_boundary_points,
+    _boundary_critical_points,
+    _cut_rows,
+    _edges,
 )
 from helmgrid.problems import setup_problem
 from tests.conftest import make_operator
@@ -98,6 +101,79 @@ def reference_hull(points):
     if hull.size < 3:
         return np.array([pts[0], pts[-1]]) if pts.size > 1 else pts[:1]
     return hull
+
+
+def polygon_boundary_points(vertices, total=768):
+    """Points along a polygon/segment boundary, roughly ``total`` of them."""
+    v = np.asarray(vertices, dtype=complex)
+    if v.size == 1:
+        return v.copy()
+    if v.size == 2:
+        return v[0] + np.linspace(0.0, 1.0, total) * (v[1] - v[0])
+    lengths = np.abs(np.roll(v, -1) - v)
+    weights = lengths / lengths.sum()
+    pieces = []
+    for i in range(len(v)):
+        m = max(8, int(round(total * weights[i])))
+        t = np.linspace(0.0, 1.0, m, endpoint=False)
+        pieces.append(v[i] + t * (v[(i + 1) % len(v)] - v[i]))
+    return np.concatenate(pieces)
+
+
+def _worst_peaks(excess):
+    """Indices of up to 64 positive local maxima of a boundary sampling
+    (cyclic order), largest first."""
+    peak = (excess > 0) & (excess >= np.roll(excess, 1)) & (excess >= np.roll(excess, -1))
+    idx = np.flatnonzero(peak)
+    return idx[np.argsort(excess[idx])[::-1][:64]]
+
+
+def reference_optimize_weights(t, hf_hull):
+    """The cutting-plane weight LP on dense samplings: 65,536 points per
+    triangle edge and 49,152 along the high-frequency hull, started from 32
+    points per edge in 8 directions and cut at up to 64 sampled peaks a round.
+    Returns ``(w, stability, smoothing)`` with both maxima sampled."""
+    tri_dense = t.boundary_points(65536)
+    hf_dense = polygon_boundary_points(np.asarray(hf_hull, dtype=complex), 49152)
+    limit = 1.0 - 1e-6
+    phi0 = 2.0 * np.pi * np.arange(8) / 8
+    tri0 = tri_dense[:: 65536 // 32]
+    hf0 = hf_dense[:: 49152 // 96]
+    blocks = [
+        _cut_rows(np.repeat(tri0, phi0.size), np.tile(phi0, tri0.size), 0.0, limit),
+        _cut_rows(np.repeat(hf0, phi0.size), np.tile(phi0, hf0.size), -1.0, 0.0),
+    ]
+    cost = np.zeros(7)
+    cost[6] = 1.0
+    for _ in range(60):
+        res = linprog(
+            cost,
+            A_ub=np.concatenate([b[0] for b in blocks]),
+            b_ub=np.concatenate([b[1] for b in blocks]),
+            bounds=[(None, None)] * 7,
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10},
+        )
+        assert res.success, res.message
+        a = res.x[0:6:2] + 1j * res.x[1:6:2]
+        p_tri = 1.0 + tri_dense * (a[0] + tri_dense * (a[1] + tri_dense * a[2]))
+        p_hf = 1.0 + hf_dense * (a[0] + hf_dense * (a[1] + hf_dense * a[2]))
+        bad_tri = _worst_peaks(np.abs(p_tri) - 1.0)
+        bad_hf = _worst_peaks(np.abs(p_hf) - (res.x[6] * (1.0 + 1e-3) + 1e-9))
+        if bad_tri.size == 0 and bad_hf.size == 0:
+            break
+        blocks.append(_cut_rows(tri_dense[bad_tri], np.angle(p_tri[bad_tri]), 0.0, limit))
+        blocks.append(_cut_rows(hf_dense[bad_hf], np.angle(p_hf[bad_hf]), -1.0, 0.0))
+    w = np.zeros(3, dtype=complex)
+    roots = np.roots(a[::-1].tolist() + [1.0])
+    w[: roots.size] = 1.0 / roots
+    return w, poly_max_on_boundary(w, tri_dense), poly_max_on_boundary(w, hf_dense)
+
+
+def dense_edge_points(vertices, per_edge=65536):
+    """``per_edge`` evenly spaced points on every edge, both ends included."""
+    z0, d = _edges(vertices)
+    return (z0[:, None] + np.linspace(0.0, 1.0, per_edge) * d[:, None]).ravel()
 
 
 # coordinates on a 1/8 grid give repeated rows and exactly collinear runs
@@ -333,6 +409,72 @@ class TestOptimizeWeights:
         assert err.weights == (0.1, 0.2, 0.3)
         assert err.stability == 1.5 and err.smoothing == 0.9
         assert "unstable level 2" in str(err)
+
+
+_part = st.floats(-4.0, 4.0)
+_complex = st.builds(complex, _part, _part)
+
+
+@st.composite
+def cubic_and_boundary(draw):
+    """A cubic's coefficients (c0..c3) and a point, a segment, a triangle or
+    a polygon, possibly with c3 = 0 or a repeated vertex (a zero-length edge)."""
+    coeffs = np.array(draw(st.lists(_complex, min_size=4, max_size=4)))
+    coeffs *= 10.0 ** np.array(draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
+    if draw(st.booleans()):
+        coeffs[3] = 0.0
+    vertices = draw(st.lists(_complex, min_size=1, max_size=6))
+    if len(vertices) > 2 and draw(st.booleans()):
+        vertices.insert(1, vertices[0])
+    return coeffs, np.array(vertices) * 10.0 ** draw(st.integers(-1, 1))
+
+
+class TestBoundaryCriticalPoints:
+    @settings(max_examples=150)
+    @given(case=cubic_and_boundary())
+    @example(case=(np.array([1.0, -2.0, 1.5, 0.0]), np.array([0.2 - 0.1j, 1.8 - 0.1j, 1.0 - 1j])))
+    @example(case=(np.array([1.0, 0.3j, -0.7, 0.25]), np.array([0.5 - 0.5j, 0.5 - 0.5j, 2.0, 1j])))
+    @example(case=(np.array([1.0, -1.0, 0.2, 0.05j]), np.array([0.1 - 0.2j, 1.9 - 0.3j])))
+    @example(case=(np.array([1.0, -1.0, 0.2, 0.05j]), np.array([0.7 - 0.2j])))
+    def test_exact_maximum_matches_dense_sampling(self, case):
+        # |p| on the returned points peaks where 65,536 points per edge peak,
+        # and never below them: the exact maxima are in the set
+        coeffs, vertices = case
+        exact = np.max(np.abs(np.polyval(coeffs[::-1], _boundary_critical_points(coeffs, vertices))))
+        sampled = np.max(np.abs(np.polyval(coeffs[::-1], dense_edge_points(vertices))))
+        assert exact >= sampled - 1e-12 * sampled
+        assert abs(exact - sampled) <= 1e-9 * sampled
+
+    def test_points_lie_on_the_boundary(self):
+        v = np.array([0.0, 2.0 - 1j, 1.0 + 1j])
+        z = _boundary_critical_points(np.array([1.0, -1.5 + 0.2j, 0.7, -0.1j]), v)
+        np.testing.assert_array_equal(z[:3], v)
+        z0, d = _edges(v)
+        # each point is z0 + t d with 0 <= t <= 1 on some edge
+        t = (z[:, None] - z0[None, :]) / d[None, :]
+        on_edge = (np.abs(t.imag) <= 1e-12) & (t.real >= -1e-12) & (t.real <= 1 + 1e-12)
+        assert np.all(on_edge.any(axis=1))
+
+
+class TestDesignQuality:
+    @pytest.mark.parametrize("precond", ["grid", "csl"])
+    @pytest.mark.parametrize("sigma_max", [0.0, 1.0])
+    @pytest.mark.parametrize("n, k", [(31, 20.0), (63, 40.0)])
+    def test_not_worse_than_dense_reference(self, n, k, sigma_max, precond):
+        # on every level's own triangle and hull, the exact-maxima LP is
+        # within 0.1% of the dense-sampled one and certified stable, and its
+        # certificate is never below a dense sampling of the same cubic
+        config = ProblemConfig(n=n, k=ConstantK(k), sigma_max=sigma_max, precond=precond,
+                               smoother="poly3")
+        for level in setup_problem(config).hierarchy.levels:
+            d, w = level.design, level.design.weights
+            _, ref_stability, ref_smoothing = reference_optimize_weights(d.triangle, d.hf_hull)
+            assert ref_stability <= 1.0 + 1e-8
+            assert w.achieved_stability <= 1.0
+            assert w.achieved_smoothing <= 1.001 * ref_smoothing
+            for certified, vertices in ((w.achieved_stability, d.triangle.vertices),
+                                        (w.achieved_smoothing, d.hf_hull)):
+                assert certified >= poly_max_on_boundary(w, dense_edge_points(vertices)) - 1e-12
 
 
 class TestPolyMax:
