@@ -100,10 +100,10 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
 
 
 def coarse_solve(lu_factors, rhs: np.ndarray) -> np.ndarray:
-    """Dense LU back-substitution on the coarsest level (rhs as a 2D field)."""
+    """Dense LU back-substitution on the coarsest level (rhs as a 2D field),
+    in the dense ordering of ``StencilOperator.assemble_dense`` (y fastest)."""
     lu, piv, shape = lu_factors
-    v = lu_solve((lu, piv), np.asarray(rhs).ravel(order="F"))
-    return v.reshape(shape, order="F")
+    return lu_solve((lu, piv), np.asarray(rhs).ravel()).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,8 @@ to a scalar, with a complex-shifted Laplacian), driven by outer FGMRES.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,11 +40,16 @@ __all__ = [
     "solve_baseline",
     "sweep",
     "pick_grid_size",
+    "max_grid_size",
     "linear_fit",
 ]
 
 DEFAULT_PPW = 10.0
 BASELINE_MAX_ITER = 2000
+# complex fields a solve holds beside its 2 * restart + 1 FGMRES basis fields:
+# five diagonals for the physical and for the fine shifted operator, at most a
+# third of that again for the coarser levels, and about eight working fields
+FIELDS_PER_UNKNOWN = 5 + 5 + 2 + 8
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,14 @@ class ProblemConfig:
             raise ValueError(f"grid size n must be >= 3, got {self.n}")
         if self.n % 2 == 0:
             raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")
+        if self.restart < 1:
+            raise ValueError(f"restart must be >= 1, got {self.restart}")
+        cap = max_grid_size(self.restart)
+        if self.n > cap:
+            raise ValueError(
+                f"grid size n={self.n} needs more than this machine's physical memory; "
+                f"n <= {cap} fits with restart={self.restart}"
+            )
         for name in ("tol", "beta", "sigma_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -112,8 +127,6 @@ class ProblemConfig:
             raise ValueError("nu_pre and nu_post must be >= 0")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.rhs not in ("point", "random"):
@@ -129,6 +142,16 @@ class ProblemConfig:
         if isinstance(k, WedgeK) and not 0.0 < k.interfaces[0] < k.interfaces[1] < 1.0:
             raise ValueError(f"wave number k needs wedge interfaces 0 < a < b < 1, got {k.interfaces}")
         return self
+
+
+def max_grid_size(restart: int = ProblemConfig.restart) -> int:
+    """Largest n whose solve's fields fit in the machine's physical memory:
+    ``2 * restart + 1 + FIELDS_PER_UNKNOWN`` complex values per unknown."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: assume 64 GiB
+        memory = 64 << 30
+    return math.isqrt(memory // (16 * (2 * restart + 1 + FIELDS_PER_UNKNOWN)))
 
 
 @dataclass(eq=False)
@@ -229,10 +252,17 @@ def solve_baseline(config: ProblemConfig, problem: Problem | None = None):
 
 def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int:
     """Odd n with k*h within ``tol`` of the 2*pi/ppw target, preferring sizes
-    whose repeated halving reaches the coarsest-level cap."""
+    whose repeated halving reaches the coarsest-level cap; a ``k`` whose sizes
+    all exceed :func:`max_grid_size` is rejected before the search."""
     target = 2.0 * np.pi / ppw
+    cap = max_grid_size()
     lo = int(np.ceil(k / (target * (1 + tol)) - 1))
-    hi = int(np.floor(k / (target * (1 - tol)) - 1))
+    hi = min(int(np.floor(k / (target * (1 - tol)) - 1)), cap)
+    if lo > cap:
+        raise ValueError(
+            f"wave number k={k:g} needs a grid size n >= {lo} at {ppw:g} points per "
+            f"wavelength, above the n <= {cap} that fits in physical memory"
+        )
     best = None
     for n in range(max(lo, 3), hi + 1):
         if n % 2 == 0:

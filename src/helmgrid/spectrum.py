@@ -83,7 +83,8 @@ class UnstableLevelError(RuntimeError):
         self.smoothing = smoothing
         super().__init__(
             f"unstable level {level}: best stability {stability:.6g}, "
-            f"smoothing {smoothing:.6g}"
+            f"smoothing {smoothing:.6g}; the GMRES(3) smoother (--smoother gmres3, "
+            "the default) needs no design and solves the same problem"
         )
 
 

@@ -1,4 +1,4 @@
-"""Matrix-free 5-point Helmholtz operator on a complex grid.
+"""5-point Helmholtz operator on a complex grid, kept as five diagonals.
 
 The operator is ``A u = -D2_x u - D2_y u - s * k^2 * u`` with the standard
 3-point second difference on (possibly complex) non-uniform spacings and
@@ -11,7 +11,10 @@ field and the complex shift ``s``; the three flavours are
 
 The last two agree up to the scalar ``gamma^2 = 1 + i*beta``.
 
-Unknown ordering for dense assembly is lexicographic with x fastest.
+Unknowns are ordered y fastest (C order).  The coefficients are one C-ordered
+``(5, n_x, n_y)`` complex store, built on first use, whose rows are scipy's DIA
+diagonals for offsets ``(0, -n_y, +n_y, -1, +1)``, zero where a diagonal wraps
+across an x-row; ``apply`` is one DIA matvec, the dense matrix its ``toarray()``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import dia_array
 
 from .grid import ComplexGrid, WavenumberField
 
@@ -29,12 +33,16 @@ DENSE_SIZE_CAP = 4096
 
 def _second_difference_coeffs(spacing: np.ndarray):
     """Per-node coefficients of -(D2 u): (diag, left, right) along one axis."""
-    hl = spacing[:-1]
-    hr = spacing[1:]
-    diag = 2.0 / (hl * hr)
-    left = -2.0 / ((hl + hr) * hl)
-    right = -2.0 / ((hl + hr) * hr)
-    return diag, left, right
+    hl, hr = spacing[:-1], spacing[1:]
+    return 2.0 / (hl * hr), -2.0 / ((hl + hr) * hl), -2.0 / ((hl + hr) * hr)
+
+
+def _dia(store: np.ndarray) -> dia_array:
+    """DIA matrix sharing a ``(5, m_x, m_y)`` store's memory; at ``m_y = 1`` the y rows,
+    all zero, are left out, since their offsets would repeat the x rows' ``-1, +1``."""
+    m, m_y = store[0].size, store.shape[2]
+    d = 5 if m_y > 1 else 3
+    return dia_array((store.reshape(5, m)[:d], (0, -m_y, m_y, -1, 1)[:d]), shape=(m, m))
 
 
 class StencilOperator:
@@ -45,21 +53,16 @@ class StencilOperator:
             raise ValueError(
                 f"wavenumber field shape {k_field.values.shape} != grid shape {grid.shape}"
             )
-
-        self.grid = grid
-        self.k_field = k_field
-        self.shift = complex(shift)
-
-        dx, lx, rx = _second_difference_coeffs(grid.spacing_x)
-        dy, ly, ry = _second_difference_coeffs(grid.spacing_y)
-        self._dx, self._dy = dx, dy
-        self._left_x, self._right_x = lx, rx
-        self._left_y, self._right_y = ly, ry
-        self._diag = (
-            dx[:, None] + dy[None, :] - self.shift * k_field.values.astype(complex) ** 2
-        )
-        if np.any(np.abs(self._diag) < 1e-14 * np.abs(dx[:, None] + dy[None, :])):
-            raise ValueError("operator diagonal has (near-)zero entries; resonant parameters")
+        self.grid, self.k_field, self.shift = grid, k_field, complex(shift)
+        self._x = _second_difference_coeffs(grid.spacing_x)
+        self._y = _second_difference_coeffs(grid.spacing_y)
+        # blocks of <= 4096 nodes: grid-sized temporaries fault in fresh pages per set-up
+        step = max(1, 4096 // grid.n_y)
+        for x in range(0, grid.n_x, step):
+            g = self._x[0][x : x + step, None] + self._y[0][None, :]
+            d = g - self.shift * k_field.values[x : x + step] ** 2
+            if np.any(np.abs(d) < 1e-14 * np.abs(g)):
+                raise ValueError("operator diagonal has (near-)zero entries; resonant parameters")
 
     @property
     def mode(self) -> str:
@@ -72,50 +75,55 @@ class StencilOperator:
 
     @property
     def n_unknowns(self) -> int:
-        n_x, n_y = self.grid.shape
-        return n_x * n_y
+        return self.shape[0] * self.shape[1]
+
+    @cached_property
+    def _store(self) -> np.ndarray:
+        (dx, lx, rx), (dy, ly, ry) = self._x, self._y
+        store = np.zeros((5, *self.shape), dtype=complex)
+        k2 = self.k_field.values.astype(complex) ** 2
+        np.subtract(dx[:, None] + dy[None, :], self.shift * k2, out=store[0])
+        store[1, :-1], store[2, 1:] = lx[1:, None], rx[:-1, None]
+        store[3, :, :-1], store[4, :, 1:] = ly[None, 1:], ry[None, :-1]
+        return store
+
+    @cached_property
+    def _matrix(self) -> dia_array:
+        return _dia(self._store)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the operator to a field of shape (n_x, n_y)."""
         u = np.asarray(u)
         if u.shape != self.shape:
             raise ValueError(f"field shape {u.shape} != operator shape {self.shape}")
-        u = u.astype(complex, copy=False)
-        v = self._diag * u
-        v[1:, :] += self._left_x[1:, None] * u[:-1, :]
-        v[:-1, :] += self._right_x[:-1, None] * u[1:, :]
-        v[:, 1:] += self._left_y[None, 1:] * u[:, :-1]
-        v[:, :-1] += self._right_y[None, :-1] * u[:, 1:]
-        return v
+        return (self._matrix @ u.astype(complex, copy=False).ravel()).reshape(self.shape)
 
     def apply_window(self, u_pad: np.ndarray, out: np.ndarray, x0: int, y0: int) -> None:
         """Apply the stencil on a window, writing into ``out``.
 
         ``u_pad`` holds the window's values padded by one ring of neighbour
         values (zeros where the ring leaves the domain); ``(x0, y0)`` is the
-        domain index of ``out[0, 0]``.  Used by the cache-blocked kernel; the
-        arithmetic per point is identical to :meth:`apply`.
+        domain index of ``out[0, 0]``.  Used by the cache-blocked kernel: the
+        window runs :meth:`apply`'s DIA matvec on the store sliced to it (zero
+        outside the domain), so each point equals :meth:`apply` bit for bit.
         """
         mx, my = out.shape
-        sx = slice(x0, x0 + mx)
-        sy = slice(y0, y0 + my)
-        core = u_pad[1:-1, 1:-1]
-        np.multiply(self._diag[sx, sy], core, out=out)
-        out += self._left_x[sx, None] * u_pad[:-2, 1:-1]
-        out += self._right_x[sx, None] * u_pad[2:, 1:-1]
-        out += self._left_y[None, sy] * u_pad[1:-1, :-2]
-        out += self._right_y[None, sy] * u_pad[1:-1, 2:]
+        lo_x, hi_x = max(x0 - 1, 0), min(x0 + mx + 1, self.shape[0])
+        lo_y, hi_y = max(y0 - 1, 0), min(y0 + my + 1, self.shape[1])
+        pad = ((0, 0), (lo_x - x0 + 1, x0 + mx + 1 - hi_x), (lo_y - y0 + 1, y0 + my + 1 - hi_y))
+        store = np.pad(self._store[:, lo_x:hi_x, lo_y:hi_y], pad)
+        v = _dia(store) @ u_pad.astype(complex, copy=False).ravel()
+        out[...] = v.reshape(mx + 2, my + 2)[1:-1, 1:-1]
 
     def diagonal(self) -> np.ndarray:
         """Coefficient of u_ij in apply; consistent with unit basis probes."""
-        return self._diag.copy()
+        return self._store[0].copy()
 
     @cached_property
     def _grid_diag(self) -> np.ndarray:
-        """The second-difference diagonal, formed on first use, so operators
-        damped Jacobi never runs on (GMRES(m) levels, the physical operator)
-        do not store it."""
-        return self._dx[:, None] + self._dy[None, :]
+        """The second-difference diagonal, formed on first use: operators damped
+        Jacobi never runs on (GMRES(m) levels, the physical one) do not store it."""
+        return self._x[0][:, None] + self._y[0][None, :]
 
     def grid_diagonal(self) -> np.ndarray:
         """Diagonal of the second-difference part alone (the k=0 diagonal);
@@ -131,24 +139,16 @@ class StencilOperator:
         return np.subtract(b, v, out=v)
 
     def assemble_dense(self) -> np.ndarray:
-        """Dense matrix, lexicographic ordering with x fastest (oracle use)."""
+        """Dense matrix in the C ordering, y fastest (oracle use)."""
         n = self.n_unknowns
         if n > DENSE_SIZE_CAP:
             raise ValueError(f"dense assembly capped at {DENSE_SIZE_CAP} unknowns, got {n}")
-        a = np.zeros((n, n), dtype=complex)
-        e = np.zeros(self.shape, dtype=complex)
-        nx, ny = self.shape
-        for j in range(n):
-            ix, iy = j % nx, j // nx
-            e[ix, iy] = 1.0
-            a[:, j] = self.apply(e).ravel(order="F")
-            e[ix, iy] = 0.0
-        return a
+        return self._matrix.toarray()
 
     def vec(self, u: np.ndarray) -> np.ndarray:
-        """Flatten a field to the dense ordering (x fastest)."""
-        return np.asarray(u).ravel(order="F")
+        """Flatten a field to the dense ordering (y fastest)."""
+        return np.asarray(u).ravel()
 
     def unvec(self, v: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`vec`."""
-        return np.asarray(v).reshape(self.shape, order="F")
+        return np.asarray(v).reshape(self.shape)

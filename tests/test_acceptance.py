@@ -101,7 +101,7 @@ def test_criterion_3_dense_eigenvalue_containment():
         # eigenvalues of the assembled preconditioner under the same Jacobi
         # normalization the samples use (independent dense eigensolver)
         a = op.assemble_dense()
-        dg = op.grid_diagonal().ravel(order="F")
+        dg = op.vec(op.grid_diagonal())
         eig = np.linalg.eigvals(a / dg[:, None])
         tri10 = _inflate(design.triangle, 1.10 / 1.05 - 1.0)  # 10% total inflation
         escapes.append(int(np.sum(~tri10.contains(eig, slack=0.0))))

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from dataclasses import fields
 
 import pytest
@@ -202,6 +203,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "sigma_max" in err and "beta" in err
 
+    def test_grid_past_memory_fails_fast(self, tmp_path, capsys):
+        # the n pick_grid_size(1e7) once returned: ~2.5e14 unknowns
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        code = main(["solve", "--n", "15728639", "--out-dir", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grid size n=15728639" in err and "physical memory" in err
+        assert not out.exists()
+
     def test_large_sigma_max_solves_with_csl(self, tmp_path):
         code = main(["solve", "--n", "31", "--k", "20", "--sigma-max", "5", "--precond", "csl",
                      "--out-dir", str(tmp_path)])
@@ -220,10 +232,24 @@ class TestSolveCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: unstable level")
+        assert "GMRES(3) smoother (--smoother gmres3, the default) needs no design" in err
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "unstable_level"
         assert report["error"] == err.removeprefix("error: ").strip()
         assert report["config"]["beta"] == 0.01
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "63", "--k", "wedge:10,20,40"], ["--n", "31", "--k", "20", "--sigma-max", "3"]],
+        ids=["wedge-n63", "n31-sigma3"],
+    )
+    def test_unstable_poly3_case_solves_with_gmres3(self, tmp_path, capsys, extra):
+        # the error's advice holds on the known cases: poly3 finds no stable
+        # cubic, and GMRES(3) converges on the same problem
+        code = main(["solve", *extra, "--smoother", "poly3", "--out-dir", str(tmp_path / "p")])
+        assert code == 3
+        assert "--smoother gmres3" in capsys.readouterr().err
+        assert main(["solve", *extra, "--out-dir", str(tmp_path / "g")]) == 0
 
     def test_divergence_writes_report(self, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -276,6 +302,16 @@ class TestSweepCommand:
         code = main(["sweep", *extra, "--out-dir", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_k_past_memory_fails_fast(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        code = main(["sweep", "--k-list", "1e7", "--out-dir", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "wave number k=1e+07" in err and "physical memory" in err
         assert not out.exists()
 
     def test_k_without_grid_size_makes_no_directory(self, tmp_path, capsys):

@@ -161,9 +161,9 @@ class TestFgmres:
         m_dense = np.zeros((n, n), dtype=complex)
         e = np.zeros((31, 31), dtype=complex)
         for j in range(n):
-            e[j % 31, j // 31] = 1.0
+            e[divmod(j, 31)] = 1.0
             m_dense[:, j] = op_m.vec(v_cycle(hier31_poly3, e))
-            e[j % 31, j // 31] = 0.0
+            e[divmod(j, 31)] = 0.0
         a_dense = op_a.assemble_dense()
         b = random_field((31, 31), seed=3)
         x, report = fgmres(

@@ -195,7 +195,7 @@ class TestVCycle:
         assert h.depth == 2
         n = 15
         a = op.assemble_dense()
-        dinv = 1.0 / op.grid_diagonal().ravel(order="F")
+        dinv = 1.0 / op.vec(op.grid_diagonal())
         s = np.eye(n * n, dtype=complex)
         for wi in h.levels[0].jacobi_w:
             s = (np.eye(n * n) - wi * dinv[:, None] * a) @ s
@@ -203,13 +203,13 @@ class TestVCycle:
         p = np.zeros((n * n, nc * nc), dtype=complex)
         for j in range(nc * nc):
             e = np.zeros((nc, nc), dtype=complex)
-            e[j % nc, j // nc] = 1.0
-            p[:, j] = prolong(e).ravel(order="F")
+            e[divmod(j, nc)] = 1.0
+            p[:, j] = prolong(e).ravel()
         r = np.zeros((nc * nc, n * n), dtype=complex)
         for j in range(n * n):
             e = np.zeros((n, n), dtype=complex)
-            e[j % n, j // n] = 1.0
-            r[:, j] = restrict(e).ravel(order="F")
+            e[divmod(j, n)] = 1.0
+            r[:, j] = restrict(e).ravel()
         ac = h.levels[1].op.assemble_dense()
         cgc = np.eye(n * n) - p @ np.linalg.solve(ac, r @ a)
         rho = np.max(np.abs(np.linalg.eigvals(s @ cgc @ s)))

@@ -56,7 +56,7 @@ def reference_gmres_smooth(op, u, b, m=3):
 
 def dense_parts(op):
     a = op.assemble_dense()
-    d = op.grid_diagonal().ravel(order="F")
+    d = op.vec(op.grid_diagonal())
     return a, d
 
 

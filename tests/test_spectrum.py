@@ -240,7 +240,7 @@ class TestSymbolSamples:
         # on a uniform-gamma constant-k level sit inside the sampled hull
         op = make_operator(16, 0.625 * 17, mode="precond_grid")
         a = op.assemble_dense()
-        dg = op.grid_diagonal().ravel(order="F")
+        dg = op.vec(op.grid_diagonal())
         eig = np.linalg.eigvals(a / dg[:, None])
         ss = symbol_samples(op, theta_count=64)
         hull = convex_hull(ss.points)

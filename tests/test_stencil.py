@@ -4,19 +4,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
+    ComplexGrid,
     ConstantK,
     StencilOperator,
     WavenumberField,
     WedgeK,
+    build_hierarchy,
     build_stretched_grid,
     build_wavenumber_field,
+    coarse_solve,
 )
+from helmgrid.stencil import _second_difference_coeffs
 from tests.conftest import MODES, make_operator, operator_for, random_field
 
 
 def laplace_operator(n):
     """k = 0 oracle operator (pure second differences)."""
     return StencilOperator(build_stretched_grid(n), WavenumberField(np.zeros((n, n))))
+
+
+def reference_apply(op, u):
+    """The numpy apply the five-diagonal store replaced: the diagonal and the
+    four 1-D neighbour coefficients, one pass over the field each."""
+    dx, left_x, right_x = _second_difference_coeffs(op.grid.spacing_x)
+    dy, left_y, right_y = _second_difference_coeffs(op.grid.spacing_y)
+    diag = dx[:, None] + dy[None, :] - op.shift * op.k_field.values.astype(complex) ** 2
+    u = np.asarray(u).astype(complex, copy=False)
+    v = diag * u
+    v[1:, :] += left_x[1:, None] * u[:-1, :]
+    v[:-1, :] += right_x[:-1, None] * u[1:, :]
+    v[:, 1:] += left_y[None, 1:] * u[:, :-1]
+    v[:, :-1] += right_y[None, :-1] * u[:, 1:]
+    return v
+
+
+def reference_assemble_dense(op):
+    """Column-probe dense assembly through :func:`reference_apply`, in the
+    dense ordering (y fastest): column j is the image of the unit field j."""
+    n = op.n_unknowns
+    a = np.zeros((n, n), dtype=complex)
+    e = np.zeros(op.shape, dtype=complex)
+    for j in range(n):
+        ix, iy = divmod(j, op.shape[1])
+        e[ix, iy] = 1.0
+        a[:, j] = reference_apply(op, e).ravel()
+        e[ix, iy] = 0.0
+    return a
+
+
+def axis_spacing(n, sigma_max):
+    """Spacings of an axis with n interior nodes: stretched layers from n = 3
+    on, uniform below."""
+    if n < 3:
+        return np.full(n + 1, 1.0 / (n + 1))
+    return build_stretched_grid(n, sigma_max=sigma_max).spacing_x
+
+
+@st.composite
+def rect_problems(draw, max_side=31):
+    """``(g, kf, beta)`` as :func:`problems` draws them, on a non-square grid
+    with sides in 1..max_side; kh in [0.05, 1.5] on the coarser axis."""
+    n_x = draw(st.integers(1, max_side))
+    n_y = draw(st.integers(1, max_side).filter(lambda m: m != n_x))
+    beta = draw(st.floats(0.05, 3.0))
+    gamma = np.sqrt(1 + 1j * beta)
+    sigma_max = draw(st.floats(0.0, 1.0, exclude_max=True)) * gamma.real / gamma.imag
+    g = ComplexGrid(axis_spacing(n_x, sigma_max), axis_spacing(n_y, sigma_max))
+    k = st.floats(0.05, 1.5).map(lambda kh: kh * (min(n_x, n_y) + 1))
+    spec = draw(st.one_of(st.builds(ConstantK, k), st.builds(WedgeK, k, k, k)))
+    return g, build_wavenumber_field(spec, g), beta
+
+
+def edge_windows(shape):
+    """``(x0, x1, y0, y1)`` windows touching each domain edge and corner."""
+    n_x, n_y = shape
+    mx, my = n_x // 2, n_y // 2
+    return [
+        (0, mx, 1, n_y - 1), (n_x - mx, n_x, 1, n_y - 1),  # left, right edge
+        (1, n_x - 1, 0, my), (1, n_x - 1, n_y - my, n_y),  # bottom, top edge
+        (0, mx, 0, my), (n_x - mx, n_x, n_y - my, n_y),  # two corners
+        (0, n_x, 0, n_y), (2, 3, 2, 3),  # the whole domain, one interior point
+    ]
+
+
+def window_apply(op, u, x0, x1, y0, y1):
+    """:meth:`StencilOperator.apply_window` on ``u[x0:x1, y0:y1]`` with its
+    ring of neighbours, zero outside the domain."""
+    pad = np.zeros((op.shape[0] + 2, op.shape[1] + 2), dtype=complex)
+    pad[1:-1, 1:-1] = u
+    out = np.empty((x1 - x0, y1 - y0), dtype=complex)
+    op.apply_window(pad[x0 : x1 + 2, y0 : y1 + 2], out, x0, y0)
+    return out
 
 
 @st.composite
@@ -82,6 +160,40 @@ class TestApply:
     def test_shape_mismatch(self, op31):
         with pytest.raises(ValueError, match="shape"):
             op31.apply(np.zeros((30, 31)))
+
+    @settings(max_examples=100)
+    @given(problem=rect_problems(), mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_apply_on_non_square_grids(self, problem, mode, seed):
+        # a swapped n_x / n_y in the store's offsets shows only off the diagonal n_x = n_y
+        op = operator_for(mode, *problem)
+        u = random_field(op.shape, seed=seed)
+        want = reference_apply(op, u)
+        assert np.max(np.abs(op.apply(u) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestApplyWindow:
+    @settings(max_examples=100)
+    @given(problem=rect_problems(), mode=st.sampled_from(MODES), data=st.data())
+    def test_bit_equal_to_apply_on_random_windows(self, problem, mode, data):
+        op = operator_for(mode, *problem)
+        n_x, n_y = op.shape
+        x0 = data.draw(st.integers(0, n_x - 1))
+        x1 = data.draw(st.integers(x0 + 1, n_x))
+        y0 = data.draw(st.integers(0, n_y - 1))
+        y1 = data.draw(st.integers(y0 + 1, n_y))
+        u = random_field(op.shape, seed=data.draw(st.integers(0, 2**32 - 1)))
+        got = window_apply(op, u, x0, x1, y0, y1)
+        np.testing.assert_array_equal(got, op.apply(u)[x0:x1, y0:y1])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bit_equal_to_apply_on_windows_at_every_edge(self, mode):
+        g = ComplexGrid(axis_spacing(13, 0.8), axis_spacing(22, 0.8))
+        op = operator_for(mode, g, build_wavenumber_field(WedgeK(9.0, 6.0, 12.0), g))
+        u = random_field(op.shape, seed=17)
+        v = op.apply(u)
+        for x0, x1, y0, y1 in edge_windows(op.shape):
+            got = window_apply(op, u, x0, x1, y0, y1)
+            np.testing.assert_array_equal(got, v[x0:x1, y0:y1], err_msg=f"{(x0, x1, y0, y1)}")
 
 
 class TestDiagonal:
@@ -169,6 +281,34 @@ class TestDense:
         op = make_operator(65, 10.0)
         with pytest.raises(ValueError, match="capped"):
             op.assemble_dense()
+
+    @settings(max_examples=30)
+    @given(problem=rect_problems(max_side=12), mode=st.sampled_from(MODES))
+    def test_equals_column_probe_assembly(self, problem, mode):
+        op = operator_for(mode, *problem)
+        np.testing.assert_array_equal(op.assemble_dense(), reference_assemble_dense(op))
+
+    def test_vec_is_the_dense_ordering(self):
+        g = ComplexGrid(axis_spacing(5, 0.0), axis_spacing(8, 0.0))
+        op = StencilOperator(g, build_wavenumber_field(ConstantK(3.0), g))
+        u = random_field(op.shape, seed=21)
+        v = op.vec(u)
+        np.testing.assert_array_equal(op.unvec(v), u)
+        assert all(v[j] == u[divmod(j, 8)] for j in range(op.n_unknowns))  # y fastest
+        want = reference_apply(op, u)
+        got = op.unvec(op.assemble_dense() @ v)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_coarse_solve_on_non_square_coarsest_level(self, mode):
+        # 15 x 31 coarsens to a 7 x 15 coarsest level, solved by dense LU
+        g = ComplexGrid(axis_spacing(15, 0.8), axis_spacing(31, 0.8))
+        h = build_hierarchy(operator_for(mode, g, build_wavenumber_field(WedgeK(9.0, 6.0, 12.0), g)))
+        op_c = h.levels[-1].op
+        assert op_c.shape == (7, 15)
+        b = random_field(op_c.shape, seed=23)
+        u = coarse_solve(h.coarse_lu, b)
+        assert np.linalg.norm(op_c.residual(b, u)) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestInvariants:
