@@ -82,9 +82,9 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
         raise ValueError("field shapes do not match the operator")
     nx, ny = op.shape
     out = np.empty_like(u)
-    # full-domain weighted inverse diagonals, formed exactly as the naive
-    # sweep forms them, so sliced tiles reproduce its arithmetic bit for bit
-    winv = [ws / op._grid_diag for ws in w]
+    # the naive sweep's own full-domain weighted inverse diagonals, sliced per
+    # tile, so tiles reproduce its arithmetic bit for bit
+    winv = [op.jacobi_scale(ws) for ws in w]
 
     for (tx0, tx1), (ty0, ty1) in plan.tiles(op.shape):
         # region loaded once: tile plus `ghost` layers, clipped to the domain

@@ -48,8 +48,10 @@ DEFAULT_PPW = 10.0
 BASELINE_MAX_ITER = 2000
 # complex fields a solve holds beside its 2 * restart + 1 FGMRES basis fields:
 # five diagonals for the physical and for the fine shifted operator, at most a
-# third of that again for the coarser levels, and about eight working fields
-FIELDS_PER_UNKNOWN = 5 + 5 + 2 + 8
+# third of that again for the coarser levels, the cubic smoother's three
+# cached weighted inverse diagonals and a third again for the coarser levels,
+# and about eight working fields
+FIELDS_PER_UNKNOWN = 5 + 5 + 2 + 3 + 1 + 8
 
 
 @dataclass(frozen=True)

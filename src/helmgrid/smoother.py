@@ -34,16 +34,20 @@ def damped_jacobi(
     """One damped Jacobi sweep: ``u + w * Dinv * (b - A u)``, with ``D`` the
     second-difference diagonal the cubic's design is certified in.
 
-    ``r``, when given, is the caller's ``b - A u`` and saves the apply.  The
-    weighted inverse diagonal is formed once as a full-domain array so the
-    cache-blocked kernel can slice the identical coefficients and reproduce
-    this sweep bit for bit.  The product is taken residual first, as the
-    kernel does: complex products round differently with swapped operands,
-    and ``r * (w / d)`` may be swapped by numpy's temporary elision.
+    ``r``, when given, is the caller's ``b - A u``; it saves the apply and is
+    not written to.  The weighted inverse diagonal is the operator's cached
+    ``w / D`` (:meth:`StencilOperator.jacobi_scale`), which the cache-blocked
+    kernel slices too, so it reproduces this sweep bit for bit.  The product
+    is taken residual first, as the kernel does: complex products round
+    differently with swapped operands.
     """
+    scale = op.jacobi_scale(w)
     if r is None:
-        r = b - op.apply(u)
-    return u + np.multiply(r, w / op._grid_diag)
+        r = op.residual(b, u)
+        np.multiply(r, scale, out=r)
+    else:
+        r = np.multiply(r, scale)
+    return np.add(u, r, out=r)
 
 
 def poly3_smooth(

@@ -15,11 +15,12 @@ Both maxima are exact per edge: along an edge ``|p|^2`` is a real sextic, so
 its maxima are roots of a quintic, and by the maximum-modulus principle the
 triangle's edges certify the whole triangle.
 
-Each frozen pair's samples share one imaginary part, so :func:`convex_hull`
-keeps only the two ends of every such horizontal run before its monotone
-chain; a level's hull costs two points per pair rather than ``theta_count^2``.
-The LP rounds take about half of a design's time, the triangle search most
-of the rest.
+Each frozen pair's samples share one imaginary part, a horizontal row whose
+inner points are never hull vertices, so :func:`design_for_operator` hands
+:func:`convex_hull` each pair's two row ends, not its ``theta_count^2``
+samples, and gets the samples' hulls byte for byte.  The triangle search
+intersects only the triples of support lines that bound a triangle.  The LP
+rounds take most of a design's time.
 
 Normalization: samples are the operator symbol divided by the diagonal of its
 second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
@@ -37,8 +38,6 @@ so the designed weights are the damped-Jacobi weights, with no conversion.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,11 +193,35 @@ class SpectralDesign:
 # symbol sampling
 
 
-def _frozen_pairs(op: StencilOperator):
-    """Unique (complex spacing, k) pairs occurring on the operator's level."""
+def _frozen_offsets(op: StencilOperator, level: int) -> np.ndarray:
+    """The offsets ``s*k^2*hc^2/4`` of every unique (complex spacing, k) pair
+    on the operator's level; a pair's samples are ``c/4 - offset``.
+
+    Raises :class:`ResonantDiagonalError` if any pair's full diagonal
+    ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
+    """
     spacings = np.unique(np.concatenate([op.grid.spacing_x, op.grid.spacing_y]))
-    ks = np.unique(op.k_field.values)
-    return spacings, ks
+    shifted_k2 = op.shift * np.unique(op.k_field.values).astype(complex) ** 2
+    hc2 = spacings**2
+    d_full = 4.0 / hc2[:, None] - shifted_k2[None, :]
+    if np.any(np.abs(d_full) < 1e-12):
+        raise ResonantDiagonalError(
+            f"resonant diagonal on level {level}: a frozen (spacing, k) pair "
+            f"has |4/hc^2 - s*k^2| < 1e-12"
+        )
+    return (hc2[:, None] * shifted_k2[None, :] / 4.0).ravel()
+
+
+def _theta_sums(theta_count: int):
+    """``c = (2 - 2cos(theta_x)) + (2 - 2cos(theta_y))`` over the uniform grid
+    of (0, pi]^2, and the high-frequency flags ``max(theta_x, theta_y) >= pi/2``."""
+    if theta_count < 8:
+        raise ValueError(f"theta_count must be >= 8, got {theta_count}")
+    theta = np.arange(1, theta_count + 1) * np.pi / theta_count
+    c = 2.0 - 2.0 * np.cos(theta)
+    c_sum = (c[:, None] + c[None, :]).ravel()
+    hf = (np.maximum(theta[:, None], theta[None, :]) >= HIGH_FREQ_CUT).ravel()
+    return c_sum, hf
 
 
 def symbol_samples(op: StencilOperator, theta_count: int = 64, level: int = 0) -> SymbolSampleSet:
@@ -207,27 +230,20 @@ def symbol_samples(op: StencilOperator, theta_count: int = 64, level: int = 0) -
     Raises :class:`ResonantDiagonalError` if any pair's full diagonal
     ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
     """
-    if theta_count < 8:
-        raise ValueError(f"theta_count must be >= 8, got {theta_count}")
-    spacings, ks = _frozen_pairs(op)
-    theta = np.arange(1, theta_count + 1) * np.pi / theta_count
-    c = 2.0 - 2.0 * np.cos(theta)
-    c_sum = (c[:, None] + c[None, :]).ravel()
-    hf = (np.maximum(theta[:, None], theta[None, :]) >= HIGH_FREQ_CUT).ravel()
-
-    shifted_k2 = op.shift * ks.astype(complex) ** 2
-    hc2 = spacings**2
-    d_full = 4.0 / hc2[:, None] - shifted_k2[None, :]
-    if np.any(np.abs(d_full) < 1e-12):
-        raise ResonantDiagonalError(
-            f"resonant diagonal on level {level}: a frozen (spacing, k) pair "
-            f"has |4/hc^2 - s*k^2| < 1e-12"
-        )
+    c_sum, hf = _theta_sums(theta_count)
     # mu = lambda / d_grid with d_grid = 4/hc^2 the second-difference diagonal
-    offsets = (hc2[:, None] * shifted_k2[None, :] / 4.0).ravel()
+    offsets = _frozen_offsets(op, level)
     points = (c_sum[None, :] / 4.0 - offsets[:, None]).ravel()
     hf_mask = np.broadcast_to(hf, (offsets.size, hf.size)).ravel()
     return SymbolSampleSet(points=points, hf_mask=hf_mask, theta_count=theta_count, level=level)
+
+
+def _row_ends(c_sum: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The two ends of every pair's row of samples ``c_sum/4 - offset``: the
+    samples at the least and the largest ``c_sum``, since dividing by 4 is
+    exact and subtracting one offset is monotone, rounding included."""
+    ends = np.array([c_sum.min(), c_sum.max()]) / 4.0
+    return (ends[None, :] - offsets[:, None]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +260,10 @@ def convex_hull(points) -> np.ndarray:
     Before the chain runs, each row of points sharing one imaginary part is
     cut to its two ends (an exact form of the extreme-point pre-filter of
     Akl & Toussaint, 1978): a point strictly between the ends of a horizontal
-    run is a convex combination of them, so it is never a hull vertex.  Symbol
-    samples are built for this: every frozen (spacing, k) pair contributes
-    ``c/4 - s*k^2*hc^2/4`` with ``c`` real, one horizontal run, so a level's
-    tens of thousands of samples collapse to two points per pair.
+    run is a convex combination of them, so it is never a hull vertex.  Every
+    frozen (spacing, k) pair's symbol samples ``c/4 - s*k^2*hc^2/4``, ``c``
+    real, form one such run: :func:`symbol_samples` output collapses to two
+    points per pair here, and :func:`design_for_operator` passes just those.
     """
     pts = np.unique(np.asarray(points, dtype=complex))
     if pts.size < 3:
@@ -312,50 +328,51 @@ def _support_lines(hull: np.ndarray, extra_directions: int):
 
 
 def _triangle_candidates(normals: np.ndarray, offsets: np.ndarray, n_flush: int):
-    """All bounded triangles from triples of the given support lines.
+    """All bounded triangles from triples of the given support lines, in the
+    lexicographic order of the triples (that of ``itertools.combinations``).
 
-    Returns (areas, vertex triples, flush flags); a candidate is flagged
-    flush when all three of its lines carry hull edges (the first ``n_flush``
-    lines), which is the family the area contract is stated against.
+    Three lines bound a triangle iff their outward normals positively span the
+    plane: the circular gaps between their normal angles are all below pi.
+    That is decided from the angles alone, so only bounded triples are
+    intersected (about a quarter of them on level hulls).  Returns (areas,
+    vertex triples, flush flags); a candidate is flagged flush when all three
+    of its lines carry hull edges (the first ``n_flush`` lines), which is the
+    family the area contract is stated against.
     """
     m = len(normals)
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), 3)),
-        dtype=np.intp,
-        count=3 * math.comb(m, 3),
-    ).reshape(-1, 3)
-    n1, n2, n3 = normals[combos[:, 0]], normals[combos[:, 1]], normals[combos[:, 2]]
-    c1, c2, c3 = offsets[combos[:, 0]], offsets[combos[:, 1]], offsets[combos[:, 2]]
-    flush = np.all(combos < n_flush, axis=1)
+    # triples i < j < k in lexicographic order: each pair (i, j), then k > j
+    i, j = np.triu_indices(m, 1)
+    count = m - 1 - j
+    i, j = np.repeat(i, count), np.repeat(j, count)
+    k = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + j + 1
 
-    def intersect(na, ca, nb, cb):
+    # the three angles in ascending order, and the circular gaps between them
+    ang = np.angle(normals)
+    a1, a2, a3 = ang[i], ang[j], ang[k]
+    lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
+    mid = np.maximum(lo, np.minimum(hi, a3))
+    lo, hi = np.minimum(lo, a3), np.maximum(hi, a3)
+    gap = np.pi - 1e-12
+    bounded = (mid - lo < gap) & (hi - mid < gap) & (2 * np.pi - (hi - lo) < gap)
+    i, j, k = i[bounded], j[bounded], k[bounded]
+
+    def intersect(a, b):
+        na, nb, ca, cb = normals[a], normals[b], offsets[a], offsets[b]
         det = na.real * nb.imag - na.imag * nb.real
         safe = np.where(np.abs(det) > 1e-14, det, 1.0)
         x = (ca * nb.imag - cb * na.imag) / safe
         y = (cb * na.real - ca * nb.real) / safe
-        return x + 1j * y, det
+        return x + 1j * y, np.abs(det) > 1e-14
 
-    v12, det12 = intersect(n1, c1, n2, c2)
-    v23, det23 = intersect(n2, c2, n3, c3)
-    v31, det31 = intersect(n3, c3, n1, c1)
-
-    # bounded intersection iff the three outward normals positively span the
-    # plane: circular gaps between normal angles all < pi
-    ang = np.sort(np.stack([np.angle(n1), np.angle(n2), np.angle(n3)], axis=1), axis=1)
-    gaps = np.stack(
-        [ang[:, 1] - ang[:, 0], ang[:, 2] - ang[:, 1], 2 * np.pi - (ang[:, 2] - ang[:, 0])],
-        axis=1,
-    )
-    bounded = np.all(gaps < np.pi - 1e-12, axis=1)
-    bounded &= (np.abs(det12) > 1e-14) & (np.abs(det23) > 1e-14) & (np.abs(det31) > 1e-14)
-
-    tri = np.stack([v12, v23, v31], axis=1)[bounded]
+    (v12, ok12), (v23, ok23), (v31, ok31) = intersect(i, j), intersect(j, k), intersect(k, i)
+    ok = ok12 & ok23 & ok31
+    tri = np.stack([v12, v23, v31], axis=1)[ok]
     if tri.size == 0:
         return np.empty(0), np.empty((0, 3), dtype=complex), np.empty(0, dtype=bool)
     areas = 0.5 * np.abs(
         _cross_arr(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     )
-    return areas, tri, flush[bounded]
+    return areas, tri, k[ok] < n_flush
 
 
 def _cross_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -594,10 +611,18 @@ def design_for_operator(
     theta_count: int = 64,
     level: int = 0,
 ) -> SpectralDesign:
-    """samples -> hull -> triangle -> optimized weights for one level."""
-    samples = symbol_samples(op, theta_count=theta_count, level=level)
-    tri = min_enclosing_triangle(convex_hull(samples.points))
-    hf_hull = convex_hull(samples.hf_points)
+    """symbol rows -> hull -> triangle -> optimized weights for one level.
+
+    The hulls are fed each frozen pair's row ends only, for all samples and
+    for the high-frequency ones: every pair's samples form one horizontal row,
+    whose inner points :func:`convex_hull` drops anyway, so both hulls equal
+    those of :func:`symbol_samples`, byte for byte, without its
+    ``theta_count**2`` samples per pair.
+    """
+    c_sum, hf = _theta_sums(theta_count)
+    offsets = _frozen_offsets(op, level)
+    tri = min_enclosing_triangle(convex_hull(_row_ends(c_sum, offsets)))
+    hf_hull = convex_hull(_row_ends(c_sum[hf], offsets))
     weights = optimize_weights(tri, hf_hull, level=level)
     return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull, level=level)
 

@@ -56,6 +56,7 @@ class StencilOperator:
         self.grid, self.k_field, self.shift = grid, k_field, complex(shift)
         self._x = _second_difference_coeffs(grid.spacing_x)
         self._y = _second_difference_coeffs(grid.spacing_y)
+        self._jacobi_scales: dict[complex, np.ndarray] = {}
         # blocks of <= 4096 nodes: grid-sized temporaries fault in fresh pages per set-up
         step = max(1, 4096 // grid.n_y)
         for x in range(0, grid.n_x, step):
@@ -119,16 +120,26 @@ class StencilOperator:
         """Coefficient of u_ij in apply; consistent with unit basis probes."""
         return self._store[0].copy()
 
-    @cached_property
-    def _grid_diag(self) -> np.ndarray:
-        """The second-difference diagonal, formed on first use: operators damped
-        Jacobi never runs on (GMRES(m) levels, the physical one) do not store it."""
-        return self._x[0][:, None] + self._y[0][None, :]
-
     def grid_diagonal(self) -> np.ndarray:
         """Diagonal of the second-difference part alone (the k=0 diagonal);
         damped Jacobi divides by it, and the cubic is certified in it."""
-        return self._grid_diag.copy()
+        return self._x[0][:, None] + self._y[0][None, :]
+
+    def jacobi_scale(self, w: complex) -> np.ndarray:
+        """Damped Jacobi's weighted inverse diagonal ``w / D``, D the
+        second-difference diagonal, read only.  A level's cubic sweeps with the
+        same three weights on every call, so the last three weights' arrays
+        are kept, formed at first use: operators damped Jacobi never runs on
+        (GMRES(m) levels, the physical one) keep none.  The cache-blocked
+        kernel slices the same arrays."""
+        w = complex(w)
+        if w not in self._jacobi_scales:
+            if len(self._jacobi_scales) == 3:
+                self._jacobi_scales.clear()
+            scale = w / self.grid_diagonal()
+            scale.flags.writeable = False
+            self._jacobi_scales[w] = scale
+        return self._jacobi_scales[w]
 
     def residual(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
         """b - A u."""

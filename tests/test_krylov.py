@@ -15,6 +15,19 @@ from helmgrid.krylov import _arnoldi_cycle, _givens
 from tests.conftest import make_operator, random_field
 
 
+def reference_givens(a, b):
+    """The rotation as first written, with ``np.hypot``; the library's must
+    return the same bits (``math.hypot`` rounds differently on about 0.6% of
+    random entries)."""
+    if a == 0:
+        return 0.0, 1.0 + 0.0j
+    absa = abs(a)
+    r = np.hypot(absa, abs(b))
+    c = absa / r
+    s = (a / absa) * np.conj(b) / r
+    return c, s
+
+
 def reference_arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
     """The out-of-place restart cycle, a temporary per vector operation; the
     in-place cycle must return the same bits."""
@@ -52,7 +65,7 @@ def reference_arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
             t = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
             h[j + 1, k] = -np.conj(sn[j]) * h[j, k] + cs[j] * h[j + 1, k]
             h[j, k] = t
-        cs[k], sn[k] = _givens(h[k, k], h[k + 1, k])
+        cs[k], sn[k] = reference_givens(h[k, k], h[k + 1, k])
         h[k, k] = cs[k] * h[k, k] + sn[k] * h[k + 1, k]
         h[k + 1, k] = 0.0
         g[k + 1] = -np.conj(sn[k]) * g[k]
@@ -240,6 +253,30 @@ class TestFgmres:
             fgmres(lambda v: v, None, np.ones(3), restart=0)
         with pytest.raises(ValueError, match="max_iter"):
             fgmres(lambda v: v, None, np.ones(3, dtype=complex), max_iter=0)
+
+
+@st.composite
+def givens_entry(draw):
+    """Zero, real or complex, with parts of magnitude 1e-150 to 1e150."""
+    kind = draw(st.sampled_from(["zero", "real", "complex"]))
+    if kind == "zero":
+        return np.complex128(0.0)
+
+    def part():
+        return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-150.0, 150.0))
+
+    return np.complex128(complex(part(), 0.0 if kind == "real" else part()))
+
+
+class TestGivens:
+    @settings(max_examples=500)
+    @given(a=givens_entry(), b=givens_entry())
+    @example(a=np.complex128(-1.416489366414042 - 0.8274022267661552j),
+             b=np.complex128(2.755807558275951 + 1.0412431916947957j))
+    def test_matches_reference_bit_for_bit(self, a, b):
+        (c, s), (c_ref, s_ref) = _givens(a, b), reference_givens(a, b)
+        assert bits(np.float64(c)) == bits(np.float64(c_ref))
+        assert np.array_equal(bits(np.complex128(s)), bits(np.complex128(s_ref)))
 
 
 class TestArnoldiCycle:

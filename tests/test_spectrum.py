@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -19,16 +20,24 @@ from helmgrid import (
     poly_max_on_boundary,
     symbol_samples,
 )
-from helmgrid.grid import WavenumberField
+from helmgrid.grid import WavenumberField, build_wavenumber_field
+from helmgrid.multigrid import build_hierarchy
 from helmgrid.spectrum import (
+    TRIANGLE_DIRECTIONS,
     ResonantDiagonalError,
     SmootherWeights,
     _boundary_critical_points,
     _cut_rows,
     _edges,
+    _frozen_offsets,
+    _row_ends,
+    _support_lines,
+    _theta_sums,
+    _triangle_candidates,
+    design_for_operator,
 )
 from helmgrid.problems import setup_problem
-from tests.conftest import make_operator
+from tests.conftest import make_operator, operator_for
 
 
 def laplace_precond_operator(n=9, beta=0.5):
@@ -101,6 +110,69 @@ def reference_hull(points):
     if hull.size < 3:
         return np.array([pts[0], pts[-1]]) if pts.size > 1 else pts[:1]
     return hull
+
+
+def reference_triangle_candidates(normals, offsets, n_flush):
+    """The triangle search as first written: every triple of support lines
+    from ``itertools.combinations`` is intersected, then unbounded ones are
+    dropped by their normal angles.  The search that decides boundedness
+    first must return the same candidates in the same order, bit for bit."""
+    m = len(normals)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), 3)),
+        dtype=np.intp,
+        count=3 * math.comb(m, 3),
+    ).reshape(-1, 3)
+    n1, n2, n3 = normals[combos[:, 0]], normals[combos[:, 1]], normals[combos[:, 2]]
+    c1, c2, c3 = offsets[combos[:, 0]], offsets[combos[:, 1]], offsets[combos[:, 2]]
+    flush = np.all(combos < n_flush, axis=1)
+
+    def intersect(na, ca, nb, cb):
+        det = na.real * nb.imag - na.imag * nb.real
+        safe = np.where(np.abs(det) > 1e-14, det, 1.0)
+        x = (ca * nb.imag - cb * na.imag) / safe
+        y = (cb * na.real - ca * nb.real) / safe
+        return x + 1j * y, det
+
+    v12, det12 = intersect(n1, c1, n2, c2)
+    v23, det23 = intersect(n2, c2, n3, c3)
+    v31, det31 = intersect(n3, c3, n1, c1)
+    ang = np.sort(np.stack([np.angle(n1), np.angle(n2), np.angle(n3)], axis=1), axis=1)
+    gaps = np.stack(
+        [ang[:, 1] - ang[:, 0], ang[:, 2] - ang[:, 1], 2 * np.pi - (ang[:, 2] - ang[:, 0])],
+        axis=1,
+    )
+    bounded = np.all(gaps < np.pi - 1e-12, axis=1)
+    bounded &= (np.abs(det12) > 1e-14) & (np.abs(det23) > 1e-14) & (np.abs(det31) > 1e-14)
+    tri = np.stack([v12, v23, v31], axis=1)[bounded]
+    if tri.size == 0:
+        return np.empty(0), np.empty((0, 3), dtype=complex), np.empty(0, dtype=bool)
+    d1, d2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    areas = 0.5 * np.abs(d1.real * d2.imag - d1.imag * d2.real)
+    return areas, tri, flush[bounded]
+
+
+def assert_same_candidates(hull):
+    lines = _support_lines(hull, TRIANGLE_DIRECTIONS)
+    got, want = _triangle_candidates(*lines), reference_triangle_candidates(*lines)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def resonant_operator(n=7):
+    """An operator whose physical-mode pair has 4/h^2 - k^2 = 0, built past
+    the constructor's own resonance guard."""
+    h = 1.0 / (n + 1)
+    op = StencilOperator.__new__(StencilOperator)
+    op.grid, op.shift = build_stretched_grid(n), 1.0 + 0.0j
+    op.k_field = WavenumberField(np.full((n, n), 2.0 / h))
+    return op
+
+
+def level_operators(op):
+    """The operators of every level of a hierarchy on ``op``."""
+    return [level.op for level in build_hierarchy(op).levels]
 
 
 def polygon_boundary_points(vertices, total=768):
@@ -251,19 +323,44 @@ class TestSymbolSamples:
         assert np.all(tri.contains(eig, slack=0.05 * diam / max(tri.diameter, 1e-300)))
 
     def test_resonant_diagonal_reported(self):
-        n = 7
-        h = 1.0 / (n + 1)
-        g = build_stretched_grid(n)
-        # k chosen so 4/h^2 - k^2 = 0 for the physical-mode pair
-        kf = WavenumberField(np.full((n, n), 2.0 / h))
-        op = StencilOperator.__new__(StencilOperator)  # bypass the ctor guard
-        op.grid, op.k_field, op.shift = g, kf, 1.0 + 0.0j
         with pytest.raises(ResonantDiagonalError, match="level 3"):
-            symbol_samples(op, theta_count=8, level=3)
+            symbol_samples(resonant_operator(), theta_count=8, level=3)
+
+    def test_resonant_diagonal_reported_by_design(self):
+        with pytest.raises(ResonantDiagonalError, match="level 3"):
+            design_for_operator(resonant_operator(), theta_count=8, level=3)
 
     def test_theta_count_validated(self, op31):
         with pytest.raises(ValueError, match="theta_count"):
             symbol_samples(op31, theta_count=4)
+        with pytest.raises(ValueError, match="theta_count"):
+            design_for_operator(op31, theta_count=4)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 15).map(lambda i: 2 * i + 1),
+        k=st.one_of(
+            st.floats(0.5, 20.0).map(ConstantK),
+            st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0), st.floats(0.5, 20.0))
+            .map(lambda ks: WedgeK(*ks)),
+        ),
+        sigma_max=st.floats(0.0, 3.0),
+        beta=st.floats(0.05, 1.0),
+        mode=st.sampled_from(["precond_grid", "precond_csl"]),
+        theta_count=st.sampled_from([8, 16, 64]),
+    )
+    def test_row_end_hulls_are_sample_hulls(self, n, k, sigma_max, beta, mode, theta_count):
+        # the design's hulls come from each pair's row ends alone; they must
+        # equal the hulls of every sample, byte for byte, on every level
+        g = build_stretched_grid(n, None, sigma_max)
+        fine = operator_for(mode, g, build_wavenumber_field(k, g), beta)
+        c_sum, hf = _theta_sums(theta_count)
+        for ell, op in enumerate(level_operators(fine)):
+            samples = symbol_samples(op, theta_count=theta_count, level=ell)
+            offsets = _frozen_offsets(op, ell)
+            for ends, pts in ((_row_ends(c_sum, offsets), samples.points),
+                              (_row_ends(c_sum[hf], offsets), samples.hf_points)):
+                assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
 
 class TestConvexHull:
@@ -326,6 +423,25 @@ class TestConvexHull:
 
 
 class TestMinEnclosingTriangle:
+    @settings(max_examples=60)
+    @given(pts=st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)), min_size=3,
+                        max_size=80))
+    def test_candidates_match_all_triples_search(self, pts):
+        hull = convex_hull(np.array(pts))
+        assume(hull.size >= 3)
+        assert_same_candidates(hull)
+
+    @pytest.mark.parametrize(
+        "precond, k",
+        [("grid", ConstantK(40.0)), ("csl", ConstantK(40.0)), ("grid", WedgeK(10.0, 20.0, 40.0))],
+    )
+    def test_candidates_match_all_triples_search_on_level_hulls(self, precond, k):
+        problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
+        for ell, level in enumerate(problem.hierarchy.levels):
+            samples = symbol_samples(level.op, level=ell)
+            for pts in (samples.points, samples.hf_points):
+                assert_same_candidates(convex_hull(pts))
+
     def test_single_point(self):
         t = min_enclosing_triangle(np.array([0.3 - 0.2j]))
         assert t.area > 0
