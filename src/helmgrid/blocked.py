@@ -103,7 +103,10 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
             window = pad[ox : ox + (sx1 - sx0) + 2, oy : oy + (sy1 - sy0) + 2]
             av = np.empty((sx1 - sx0, sy1 - sy0), dtype=complex)
             op.apply_window(window, av, sx0, sy0)
-            un = window[1:-1, 1:-1] + (b[sx0:sx1, sy0:sy1] - av) * winv[s - 1][sx0:sx1, sy0:sy1]
+            # the residual is scaled in place, as damped_jacobi scales it: on a
+            # one-element array numpy rounds an in-place complex product apart
+            r = np.subtract(b[sx0:sx1, sy0:sy1], av, out=av)
+            un = window[1:-1, 1:-1] + np.multiply(r, winv[s - 1][sx0:sx1, sy0:sy1], out=r)
             pad = np.zeros((un.shape[0] + 2, un.shape[1] + 2), dtype=complex)
             pad[1:-1, 1:-1] = un
             rx0, rx1, ry0, ry1 = sx0, sx1, sy0, sy1

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, pick_grid_size, setup_problem, solve, sweep
+from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep, sweep_configs
 from .spectrum import UnstableLevelError, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
@@ -122,7 +122,6 @@ _HELP = {
     "max_iter": "iteration cap",
     "rhs": "right-hand side kind: point or random",
     "seed": "seed for random right-hand sides",
-    "theta_count": "symbol samples per axis for the poly3 design",
 }
 
 
@@ -181,8 +180,7 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
 
 
 def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
-    for k in k_list:  # a k with no grid size fails before the directory exists
-        pick_grid_size(k, ppw)
+    sweep_configs(k_list, ppw, config)  # an invalid k fails before the directory exists
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, fit = sweep(k_list, ppw=ppw, base=config)
     write_csv(
@@ -212,7 +210,7 @@ def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):
-        samples = symbol_samples(level.op, theta_count=config.theta_count, level=ell)
+        samples = symbol_samples(level.op, level=ell)
         sample_rows.extend(
             (f"{z.real:.16e}", f"{z.imag:.16e}", ell, int(hf))
             for z, hf in zip(samples.points, samples.hf_mask)

@@ -60,13 +60,6 @@ class ComplexGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n_x, self.n_y)
 
-    def nodes_x(self) -> np.ndarray:
-        """Complex coordinates of the n_x interior nodes (origin at 0)."""
-        return np.cumsum(self.spacing_x)[:-1]
-
-    def nodes_y(self) -> np.ndarray:
-        return np.cumsum(self.spacing_y)[:-1]
-
 
 def default_layer_width(n: int) -> int:
     """Default absorbing-layer width in cells: n/8 rounded down, at least 4,

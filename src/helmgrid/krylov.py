@@ -13,7 +13,6 @@ runs in place through one scratch vector (aliasing rule: ``_arnoldi_cycle``).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -41,9 +40,6 @@ class SolveReport:
             "wall_time": self.wall_time,
             "residual_history": list(map(float, self.residual_history)),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _givens(a: complex, b: complex):

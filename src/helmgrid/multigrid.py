@@ -122,22 +122,28 @@ class CycleDiagnostics:
     """Per-cycle, per-level records: residual norm after pre-smoothing, the
     coarse-grid-correction residual ratio, and the norm after post-smoothing.
 
-    A cgc ratio above 1 means the coarse correction amplified the residual on
-    that level; such ratios are recorded, never masked.
+    Cycles are numbered from 0 in the order they ran.  Each level records
+    after the coarser levels it visits, so the level-0 row closes a cycle;
+    ``cycles`` counts the closed ones.  A cgc ratio above 1 means the coarse
+    correction amplified the residual on that level; such ratios are
+    recorded, never masked.
     """
 
     rows: list = field(default_factory=list)
+    cycles: int = field(default=0, init=False)
 
-    def record(self, cycle: int, level: int, pre_norm: float, cgc_ratio: float, post_norm: float):
+    def record(self, level: int, pre_norm: float, cgc_ratio: float, post_norm: float):
         self.rows.append(
             {
-                "cycle": cycle,
+                "cycle": self.cycles,
                 "level": level,
                 "pre_residual": pre_norm,
                 "cgc_ratio": cgc_ratio,
                 "post_residual": post_norm,
             }
         )
+        if level == 0:
+            self.cycles += 1
 
     def cgc_ratios(self) -> np.ndarray:
         return np.array([r["cgc_ratio"] for r in self.rows])
@@ -169,7 +175,6 @@ def build_hierarchy(
     fine: StencilOperator,
     smoother: str = "gmres3",
     max_levels: int = 32,
-    theta_count: int = 64,
     nu_pre: int = 1,
     nu_post: int = 1,
 ) -> Hierarchy:
@@ -200,7 +205,7 @@ def build_hierarchy(
         design = None
         jac = None
         if smoother == "poly3":
-            design = design_for_operator(op, theta_count=theta_count, level=ell)
+            design = design_for_operator(op, level=ell)
             jac = jacobi_weights_for(design, op)
         levels.append(Level(op=op, design=design, jacobi_w=jac))
 
@@ -214,7 +219,6 @@ def v_cycle(
     b: np.ndarray,
     u: np.ndarray | None = None,
     diagnostics: CycleDiagnostics | None = None,
-    cycle_index: int = 0,
 ) -> np.ndarray:
     """One V-cycle with the hierarchy's smoothing counts; returns ``u``.
 
@@ -222,10 +226,10 @@ def v_cycle(
     smoothing it is not (the smoother re-selects its coefficients from the
     current defect each call).
     """
-    return _cycle(h, 0, np.asarray(b, dtype=complex), u, diagnostics, cycle_index)
+    return _cycle(h, 0, np.asarray(b, dtype=complex), u, diagnostics)
 
 
-def _cycle(h, ell, b, u, diag, cycle_index):
+def _cycle(h, ell, b, u, diag):
     """One visit of level ``ell``; ``u is None`` is the zero iterate, whose
     residual is ``b`` itself, so its first smoothing step skips an apply."""
     if ell == h.depth - 1:
@@ -244,7 +248,7 @@ def _cycle(h, ell, b, u, diag, cycle_index):
         raise DivergenceError(f"divergence detected at level {ell}")
     pre_norm = float(np.linalg.norm(r)) if diag is not None else 0.0
 
-    ec = _cycle(h, ell + 1, restrict(r), None, diag, cycle_index)
+    ec = _cycle(h, ell + 1, restrict(r), None, diag)
     u = u + prolong(ec)
 
     if diag is not None:
@@ -254,7 +258,7 @@ def _cycle(h, ell, b, u, diag, cycle_index):
         u = h.smooth(ell, u, b)
     if diag is not None:
         post_norm = float(np.linalg.norm(op.residual(b, u)))
-        diag.record(cycle_index, ell, pre_norm, ratio, post_norm)
+        diag.record(ell, pre_norm, ratio, post_norm)
     if not np.all(np.isfinite(u)):
         raise DivergenceError(f"divergence detected at level {ell}")
     return u

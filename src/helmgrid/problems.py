@@ -9,7 +9,6 @@ to a scalar, with a complex-shifted Laplacian), driven by outer FGMRES.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -39,6 +38,7 @@ __all__ = [
     "solve",
     "solve_baseline",
     "sweep",
+    "sweep_configs",
     "pick_grid_size",
     "max_grid_size",
     "linear_fit",
@@ -74,7 +74,6 @@ class ProblemConfig:
     max_iter: int = 500
     rhs: str = "point"  # "point" or "random"
     seed: int = 0
-    theta_count: int = 64
 
     def validate(self) -> "ProblemConfig":
         if self.n < 3:
@@ -135,8 +134,6 @@ class ProblemConfig:
             raise ValueError(f"rhs must be 'point' or 'random', got {self.rhs!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.theta_count < 8:
-            raise ValueError(f"theta_count must be >= 8, got {self.theta_count}")
         k = self.k
         ks = (k.k0,) if isinstance(k, ConstantK) else (k.k_top, k.k_mid, k.k_bot)
         if not all(np.isfinite(v * v) and v > 0 for v in ks):
@@ -184,7 +181,6 @@ def setup_problem(config: ProblemConfig) -> Problem:
         m_op,
         smoother=config.smoother,
         max_levels=config.levels,
-        theta_count=config.theta_count,
         nu_pre=config.nu_pre,
         nu_post=config.nu_post,
     )
@@ -207,10 +203,9 @@ def make_rhs(config: ProblemConfig) -> np.ndarray:
 
 
 def make_preconditioner(hierarchy: Hierarchy, diagnostics: CycleDiagnostics | None = None):
-    """One V-cycle from a zero guess, tagging cycles for the diagnostics log."""
-    counter = itertools.count()
+    """One V-cycle from a zero guess, recorded in ``diagnostics`` if given."""
     def precondition(v):
-        return v_cycle(hierarchy, v, diagnostics=diagnostics, cycle_index=next(counter))
+        return v_cycle(hierarchy, v, diagnostics=diagnostics)
     return precondition
 
 
@@ -292,23 +287,36 @@ def linear_fit(x, y) -> dict:
     return {"slope": float(a), "intercept": float(c), "r_squared": r2}
 
 
+def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None = None):
+    """``base`` at each wave number and the grid size :func:`pick_grid_size`
+    gives it, ordered by k and validated; an invalid one's error names its k
+    and n."""
+    if base is None:
+        base = ProblemConfig()
+    configs = []
+    for k in sorted(k_list):
+        n = pick_grid_size(k, ppw)
+        try:
+            configs.append(replace(base, n=n, k=ConstantK(float(k))).validate())
+        except ValueError as exc:
+            raise ValueError(f"k={k:g} (n={n}): {exc}") from None
+    return configs
+
+
 def sweep(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None = None):
-    """Solve one problem per wave number; rows are ordered by k.
+    """Solve one problem per wave number; rows are ordered by k.  Every
+    configuration is validated (:func:`sweep_configs`) before the first solve.
 
     Returns ``(rows, fit)`` where each row holds (k, n, iterations, converged,
     wall_time) and ``fit`` is the least-squares line of iterations vs k.
     """
-    if base is None:
-        base = ProblemConfig()
     rows = []
-    for k in sorted(k_list):
-        n = pick_grid_size(k, ppw)
-        config = replace(base, n=n, k=ConstantK(float(k)))
+    for config in sweep_configs(k_list, ppw, base):
         _, report, _ = solve(config)
         rows.append(
             {
-                "k": float(k),
-                "n": n,
+                "k": config.k.k0,
+                "n": config.n,
                 "iterations": report.iterations,
                 "converged": report.converged,
                 "wall_time": report.wall_time,

@@ -15,12 +15,13 @@ Both maxima are exact per edge: along an edge ``|p|^2`` is a real sextic, so
 its maxima are roots of a quintic, and by the maximum-modulus principle the
 triangle's edges certify the whole triangle.
 
-Each frozen pair's samples share one imaginary part, a horizontal row whose
-inner points are never hull vertices, so :func:`design_for_operator` hands
-:func:`convex_hull` each pair's two row ends, not its ``theta_count^2``
-samples, and gets the samples' hulls byte for byte.  The triangle search
-intersects only the triples of support lines that bound a triangle.  The LP
-rounds take most of a design's time.
+The samples lie on one fixed grid of (0, pi]^2, :data:`THETA_COUNT` = 64
+angles per axis, on every level.  Each frozen pair's samples share one
+imaginary part, a horizontal row whose inner points are never hull vertices,
+so :func:`design_for_operator` hands :func:`convex_hull` each pair's two row
+ends, not its 64^2 samples, and gets the samples' hulls byte for byte.  The
+triangle search intersects only the triples of support lines that bound a
+triangle.  The LP rounds take most of a design's time.
 
 Normalization: samples are the operator symbol divided by the diagonal of its
 second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 HIGH_FREQ_CUT = np.pi / 2
+THETA_COUNT = 64  # symbol samples per axis
 DEGENERATE_THICKEN = 1e-6
 EDGE_CAP = 56  # hull edge directions are subsampled beyond this count
 TRIANGLE_DIRECTIONS = 60  # uniform support directions beside the hull's edges
@@ -91,15 +93,14 @@ class UnstableLevelError(RuntimeError):
 class SymbolSampleSet:
     """Symbol samples for one level.
 
-    ``points`` holds mu over all (theta_x, theta_y) on a uniform grid of
-    (0, pi]^2 for every frozen (complex spacing, k) pair of the level;
-    ``hf_mask`` flags samples with max(theta_x, theta_y) >= pi/2.
+    ``points`` holds mu over all (theta_x, theta_y) on the uniform
+    ``THETA_COUNT x THETA_COUNT`` grid of (0, pi]^2 for every frozen
+    (complex spacing, k) pair of the level; ``hf_mask`` flags samples with
+    max(theta_x, theta_y) >= pi/2.
     """
 
     points: np.ndarray
     hf_mask: np.ndarray
-    theta_count: int
-    level: int = 0
 
     def __post_init__(self):
         if self.points.size == 0:
@@ -212,38 +213,39 @@ def _frozen_offsets(op: StencilOperator, level: int) -> np.ndarray:
     return (hc2[:, None] * shifted_k2[None, :] / 4.0).ravel()
 
 
-def _theta_sums(theta_count: int):
-    """``c = (2 - 2cos(theta_x)) + (2 - 2cos(theta_y))`` over the uniform grid
-    of (0, pi]^2, and the high-frequency flags ``max(theta_x, theta_y) >= pi/2``."""
-    if theta_count < 8:
-        raise ValueError(f"theta_count must be >= 8, got {theta_count}")
-    theta = np.arange(1, theta_count + 1) * np.pi / theta_count
-    c = 2.0 - 2.0 * np.cos(theta)
-    c_sum = (c[:, None] + c[None, :]).ravel()
-    hf = (np.maximum(theta[:, None], theta[None, :]) >= HIGH_FREQ_CUT).ravel()
-    return c_sum, hf
+_THETA = np.arange(1, THETA_COUNT + 1) * np.pi / THETA_COUNT
+_C = 2.0 - 2.0 * np.cos(_THETA)
+# c = (2 - 2cos(theta_x)) + (2 - 2cos(theta_y)) over the grid, and the
+# high-frequency flags max(theta_x, theta_y) >= pi/2
+_C_SUM = (_C[:, None] + _C[None, :]).ravel()
+_HF = (np.maximum(_THETA[:, None], _THETA[None, :]) >= HIGH_FREQ_CUT).ravel()
+# the least and the largest c of all samples and of the high-frequency ones,
+# over 4: a pair's row of samples c/4 - offset ends at these minus its offset,
+# since dividing by 4 is exact and subtracting one offset is monotone,
+# rounding included
+_ENDS = np.array([_C_SUM.min(), _C_SUM.max()]) / 4.0
+_HF_ENDS = np.array([_C_SUM[_HF].min(), _C_SUM[_HF].max()]) / 4.0
 
 
-def symbol_samples(op: StencilOperator, theta_count: int = 64, level: int = 0) -> SymbolSampleSet:
-    """Sample the Jacobi-normalized symbol over (0, pi]^2 for every frozen pair.
+def symbol_samples(op: StencilOperator, level: int = 0) -> SymbolSampleSet:
+    """Sample the Jacobi-normalized symbol on the ``THETA_COUNT x THETA_COUNT``
+    grid of (0, pi]^2 for every frozen pair.
 
-    Raises :class:`ResonantDiagonalError` if any pair's full diagonal
-    ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
+    Raises :class:`ResonantDiagonalError` (naming ``level``) if any pair's
+    full diagonal ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
     """
-    c_sum, hf = _theta_sums(theta_count)
     # mu = lambda / d_grid with d_grid = 4/hc^2 the second-difference diagonal
     offsets = _frozen_offsets(op, level)
-    points = (c_sum[None, :] / 4.0 - offsets[:, None]).ravel()
-    hf_mask = np.broadcast_to(hf, (offsets.size, hf.size)).ravel()
-    return SymbolSampleSet(points=points, hf_mask=hf_mask, theta_count=theta_count, level=level)
+    points = (_C_SUM[None, :] / 4.0 - offsets[:, None]).ravel()
+    hf_mask = np.broadcast_to(_HF, (offsets.size, _HF.size)).ravel()
+    return SymbolSampleSet(points=points, hf_mask=hf_mask)
 
 
-def _row_ends(c_sum: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The two ends of every pair's row of samples ``c_sum/4 - offset``: the
-    samples at the least and the largest ``c_sum``, since dividing by 4 is
-    exact and subtracting one offset is monotone, rounding included."""
-    ends = np.array([c_sum.min(), c_sum.max()]) / 4.0
-    return (ends[None, :] - offsets[:, None]).ravel()
+def _row_ends(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two ends of every pair's row of samples, and of its row of
+    high-frequency samples, for the pairs' ``offsets``."""
+    offsets = offsets[:, None]
+    return (_ENDS - offsets).ravel(), (_HF_ENDS - offsets).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,7 @@ def convex_hull(points) -> np.ndarray:
     return hull
 
 
-def _cross(a: complex, b: complex) -> float:
+def _cross(a, b):
     return a.real * b.imag - a.imag * b.real
 
 
@@ -369,14 +371,8 @@ def _triangle_candidates(normals: np.ndarray, offsets: np.ndarray, n_flush: int)
     tri = np.stack([v12, v23, v31], axis=1)[ok]
     if tri.size == 0:
         return np.empty(0), np.empty((0, 3), dtype=complex), np.empty(0, dtype=bool)
-    areas = 0.5 * np.abs(
-        _cross_arr(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    )
+    areas = 0.5 * np.abs(_cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
     return areas, tri, k[ok] < n_flush
-
-
-def _cross_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a.real * b.imag - a.imag * b.real
 
 
 def _ccw(vertices: np.ndarray) -> np.ndarray:
@@ -606,23 +602,19 @@ def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> Smooth
 # per-level pipeline
 
 
-def design_for_operator(
-    op: StencilOperator,
-    theta_count: int = 64,
-    level: int = 0,
-) -> SpectralDesign:
+def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
     """symbol rows -> hull -> triangle -> optimized weights for one level.
 
     The hulls are fed each frozen pair's row ends only, for all samples and
     for the high-frequency ones: every pair's samples form one horizontal row,
     whose inner points :func:`convex_hull` drops anyway, so both hulls equal
     those of :func:`symbol_samples`, byte for byte, without its
-    ``theta_count**2`` samples per pair.
+    ``THETA_COUNT**2`` samples per pair.  ``level`` names the level in errors
+    and in the result.
     """
-    c_sum, hf = _theta_sums(theta_count)
-    offsets = _frozen_offsets(op, level)
-    tri = min_enclosing_triangle(convex_hull(_row_ends(c_sum, offsets)))
-    hf_hull = convex_hull(_row_ends(c_sum[hf], offsets))
+    ends, hf_ends = _row_ends(_frozen_offsets(op, level))
+    tri = min_enclosing_triangle(convex_hull(ends))
+    hf_hull = convex_hull(hf_ends)
     weights = optimize_weights(tri, hf_hull, level=level)
     return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull, level=level)
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helmgrid import TilePlan, bench, blocked_poly3, poly3_smooth
 from helmgrid.blocked import FLOPS_PER_POINT_PER_SWEEP, FUSED_SWEEPS
-from tests.conftest import make_operator, random_field
+from helmgrid.grid import ComplexGrid, ConstantK, WedgeK, build_wavenumber_field
+from tests.conftest import MODES, make_operator, operator_for, random_field
 
 WEIGHTS = (0.6 + 0.1j, -1.0 + 0.5j, 1.1 + 0.2j)
 
@@ -54,6 +57,35 @@ class TestBlockedPoly3:
         for t in (8, 16, 32, 64, 129):
             got = blocked_poly3(op, u, b, WEIGHTS, TilePlan(t, t))
             assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+    @settings(max_examples=150)
+    @given(
+        nx=st.integers(1, 40),
+        ny=st.integers(1, 40),
+        tx=st.integers(6, 24),
+        ty=st.integers(6, 24),
+        mode=st.sampled_from(MODES),
+        k=st.one_of(
+            st.floats(0.5, 40.0).map(ConstantK),
+            st.tuples(st.floats(0.5, 40.0), st.floats(0.5, 40.0), st.floats(0.5, 40.0))
+            .map(lambda ks: WedgeK(*ks)),
+        ),
+        sigma=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nx=29, ny=40, tx=8, ty=13, mode="physical", k=WedgeK(5.0, 20.0, 40.0),
+             sigma=1.0, seed=0)  # both axes end in a tile that absorbs a remainder
+    def test_any_operator_and_plan_is_bitwise_identical(self, nx, ny, tx, ty, mode, k, sigma, seed):
+        # non-square complex-stretched grids, every operator flavour, constant
+        # and wedge k, unequal tile sides and random complex weights
+        rng = np.random.default_rng(seed)
+        spacing_x, spacing_y = ((1.0 + 1j * sigma * rng.random(m + 1)) / (m + 1) for m in (nx, ny))
+        g = ComplexGrid(spacing_x, spacing_y)
+        op = operator_for(mode, g, build_wavenumber_field(k, g))
+        u, b = random_field(g.shape, seed), random_field(g.shape, seed + 1)
+        w = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        got = blocked_poly3(op, u, b, w, TilePlan(tx, ty))
+        assert np.array_equal(got, poly3_smooth(op, u, b, w))
 
 
 class TestBench:

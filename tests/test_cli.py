@@ -49,6 +49,12 @@ class TestParsing:
         code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "unknown config key 'bogus'" in capsys.readouterr().err
+        # the symbol grid is fixed at 64 angles per axis; its old key is gone
+        cfg.write_text("n = 15\ntheta_count = 32\n")
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown config key 'theta_count'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"
@@ -67,7 +73,7 @@ class TestParsing:
             "n": 31, "k": "wedge:10,20,30", "layer_width": 3, "sigma_max": 0.5,
             "ramp": "linear", "beta": 0.6, "precond": "csl", "smoother": "gmres3",
             "levels": 3, "nu_pre": 2, "nu_post": 0, "tol": 1e-5, "restart": 15,
-            "max_iter": 300, "rhs": "random", "seed": 4, "theta_count": 32,
+            "max_iter": 300, "rhs": "random", "seed": 4,
         }
         assert set(values) == {f.name for f in fields(ProblemConfig)}
         cfg = tmp_path / "all.cfg"
@@ -320,6 +326,23 @@ class TestSweepCommand:
         code = main(["sweep", "--k-list", "10,1", "--out-dir", str(out)])
         assert code == 1
         assert "for k=1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--k-list", "10,20", "--layer-width", "5"], "k=10 (n=15): layer_width"),
+            (["--k-list", "20,160", "--levels", "2"], "k=160 (n=255): grid size n=255"),
+        ],
+    )
+    def test_invalid_k_config_makes_no_directory(self, tmp_path, capsys, extra, message):
+        # every k's config is validated before the directory or the first solve
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        code = main(["sweep", *extra, "--out-dir", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
 

@@ -135,10 +135,6 @@ class TestComplexGrid:
         with pytest.raises(ValueError, match="positive real part"):
             ComplexGrid(np.array([0.5, -0.5]), np.array([0.5, 0.5]))
 
-    def test_nodes_accumulate_spacings(self):
-        g = build_stretched_grid(7)
-        np.testing.assert_allclose(g.nodes_x(), np.arange(1, 8) / 8.0)
-
 
 def test_field_invariants():
     with pytest.raises(ValueError):

@@ -383,7 +383,7 @@ class TestReport:
     def test_json_roundtrip(self):
         b = random_field((5, 5), seed=7)
         _, report = fgmres(lambda v: 2.0 * v, None, b)
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["converged"] is True
         assert parsed["iterations"] == report.iterations
         assert parsed["residual_history"][0] == 1.0

@@ -254,8 +254,8 @@ class TestDiagnostics:
         diag = CycleDiagnostics()
         b = random_field((31, 31), seed=9)
         u = None
-        for cycle in range(3):
-            u = v_cycle(hier31_gmres, b, u, diagnostics=diag, cycle_index=cycle)
+        for _ in range(3):
+            u = v_cycle(hier31_gmres, b, u, diagnostics=diag)
         # 3 cycles x (depth - 1) non-coarsest levels
         assert len(diag.rows) == 3 * (hier31_gmres.depth - 1)
         for cycle in range(3):
@@ -272,8 +272,8 @@ class TestDiagnostics:
         diag = CycleDiagnostics()
         b = random_field((63, 63), seed=10)
         u = None
-        for cycle in range(4):
-            u = v_cycle(h, b, u, diagnostics=diag, cycle_index=cycle)
+        for _ in range(4):
+            u = v_cycle(h, b, u, diagnostics=diag)
         ratios = diag.cgc_ratios()
         assert ratios.size == 4 * (h.depth - 1)
         assert np.all(np.isfinite(ratios))

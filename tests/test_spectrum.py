@@ -32,7 +32,6 @@ from helmgrid.spectrum import (
     _frozen_offsets,
     _row_ends,
     _support_lines,
-    _theta_sums,
     _triangle_candidates,
     design_for_operator,
 )
@@ -285,22 +284,22 @@ def near_collinear_points(draw):
 class TestSymbolSamples:
     def test_pure_laplacian_samples_real_in_0_2(self):
         op = laplace_precond_operator()
-        ss = symbol_samples(op, theta_count=16)
+        ss = symbol_samples(op)
         assert np.max(np.abs(ss.points.imag)) <= 1e-14
         assert np.all(ss.points.real > 0)
         assert np.all(ss.points.real <= 2.0 + 1e-14)
 
     def test_theta_pi_pi_gives_two_exactly(self):
         op = laplace_precond_operator()
-        ss = symbol_samples(op, theta_count=16)
+        ss = symbol_samples(op)
         assert np.max(ss.points.real) == pytest.approx(2.0, abs=1e-13)
 
     def test_high_frequency_flagging(self):
         op = make_operator(15, 10.0)
-        ss = symbol_samples(op, theta_count=16)
-        # theta_i = i*pi/16 for i = 1..16; i >= 8 hits theta >= pi/2, so only
-        # 7 of 16 per axis are low-frequency
-        assert ss.hf_mask.mean() == pytest.approx(1 - (7 / 16) ** 2)
+        ss = symbol_samples(op)
+        # theta_i = i*pi/64 for i = 1..64; i >= 32 hits theta >= pi/2, so only
+        # 31 of 64 per axis are low-frequency
+        assert ss.hf_mask.mean() == pytest.approx(1 - (31 / 64) ** 2)
 
     def test_lower_half_for_positive_shift(self):
         op = make_operator(15, 10.0, sigma_max=1.0, layer_width=3)
@@ -314,7 +313,7 @@ class TestSymbolSamples:
         a = op.assemble_dense()
         dg = op.vec(op.grid_diagonal())
         eig = np.linalg.eigvals(a / dg[:, None])
-        ss = symbol_samples(op, theta_count=64)
+        ss = symbol_samples(op)
         hull = convex_hull(ss.points)
         diam = np.max(np.abs(hull[:, None] - hull[None, :]))
         tri = min_enclosing_triangle(hull, inflate=0.0)
@@ -324,17 +323,11 @@ class TestSymbolSamples:
 
     def test_resonant_diagonal_reported(self):
         with pytest.raises(ResonantDiagonalError, match="level 3"):
-            symbol_samples(resonant_operator(), theta_count=8, level=3)
+            symbol_samples(resonant_operator(), level=3)
 
     def test_resonant_diagonal_reported_by_design(self):
         with pytest.raises(ResonantDiagonalError, match="level 3"):
-            design_for_operator(resonant_operator(), theta_count=8, level=3)
-
-    def test_theta_count_validated(self, op31):
-        with pytest.raises(ValueError, match="theta_count"):
-            symbol_samples(op31, theta_count=4)
-        with pytest.raises(ValueError, match="theta_count"):
-            design_for_operator(op31, theta_count=4)
+            design_for_operator(resonant_operator(), level=3)
 
     @settings(max_examples=40)
     @given(
@@ -347,19 +340,16 @@ class TestSymbolSamples:
         sigma_max=st.floats(0.0, 3.0),
         beta=st.floats(0.05, 1.0),
         mode=st.sampled_from(["precond_grid", "precond_csl"]),
-        theta_count=st.sampled_from([8, 16, 64]),
     )
-    def test_row_end_hulls_are_sample_hulls(self, n, k, sigma_max, beta, mode, theta_count):
+    def test_row_end_hulls_are_sample_hulls(self, n, k, sigma_max, beta, mode):
         # the design's hulls come from each pair's row ends alone; they must
         # equal the hulls of every sample, byte for byte, on every level
         g = build_stretched_grid(n, None, sigma_max)
         fine = operator_for(mode, g, build_wavenumber_field(k, g), beta)
-        c_sum, hf = _theta_sums(theta_count)
         for ell, op in enumerate(level_operators(fine)):
-            samples = symbol_samples(op, theta_count=theta_count, level=ell)
-            offsets = _frozen_offsets(op, ell)
-            for ends, pts in ((_row_ends(c_sum, offsets), samples.points),
-                              (_row_ends(c_sum[hf], offsets), samples.hf_points)):
+            samples = symbol_samples(op, level=ell)
+            all_ends, hf_ends = _row_ends(_frozen_offsets(op, ell))
+            for ends, pts in ((all_ends, samples.points), (hf_ends, samples.hf_points)):
                 assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
 
