@@ -15,6 +15,7 @@ Unknowns are ordered y fastest (C order).  The coefficients are one C-ordered
 ``(5, n_x, n_y)`` complex store, built on first use, whose rows are scipy's DIA
 diagonals for offsets ``(0, -n_y, +n_y, -1, +1)``, zero where a diagonal wraps
 across an x-row; ``apply`` is one DIA matvec, the dense matrix its ``toarray()``.
+The cache-blocked kernel's ``apply_window`` cuts windows from a zero-ringed copy.
 """
 
 from __future__ import annotations
@@ -99,22 +100,19 @@ class StencilOperator:
             raise ValueError(f"field shape {u.shape} != operator shape {self.shape}")
         return (self._matrix @ u.astype(complex, copy=False).ravel()).reshape(self.shape)
 
-    def apply_window(self, u_pad: np.ndarray, out: np.ndarray, x0: int, y0: int) -> None:
-        """Apply the stencil on a window, writing into ``out``.
+    @cached_property
+    def _ringed_store(self) -> np.ndarray:
+        return np.pad(self._store, ((0, 0), (1, 1), (1, 1)))
 
-        ``u_pad`` holds the window's values padded by one ring of neighbour
-        values (zeros where the ring leaves the domain); ``(x0, y0)`` is the
-        domain index of ``out[0, 0]``.  Used by the cache-blocked kernel: the
-        window runs :meth:`apply`'s DIA matvec on the store sliced to it (zero
-        outside the domain), so each point equals :meth:`apply` bit for bit.
-        """
-        mx, my = out.shape
-        lo_x, hi_x = max(x0 - 1, 0), min(x0 + mx + 1, self.shape[0])
-        lo_y, hi_y = max(y0 - 1, 0), min(y0 + my + 1, self.shape[1])
-        pad = ((0, 0), (lo_x - x0 + 1, x0 + mx + 1 - hi_x), (lo_y - y0 + 1, y0 + my + 1 - hi_y))
-        store = np.pad(self._store[:, lo_x:hi_x, lo_y:hi_y], pad)
-        v = _dia(store) @ u_pad.astype(complex, copy=False).ravel()
-        out[...] = v.reshape(mx + 2, my + 2)[1:-1, 1:-1]
+    def apply_window(self, u_pad: np.ndarray, x0: int, y0: int) -> np.ndarray:
+        """The stencil on the window ``u_pad[1:-1, 1:-1]``, whose first point has
+        domain index ``(x0, y0)``; ``u_pad``'s ring holds the neighbour values,
+        zero outside the domain.  The cache-blocked kernel's apply: the DIA
+        matvec of :meth:`apply` on the window's cut of the store, ringed with
+        zeros once, so each point equals :meth:`apply` bit for bit."""
+        mx, my = u_pad.shape
+        v = _dia(self._ringed_store[:, x0 : x0 + mx, y0 : y0 + my]) @ u_pad.ravel()
+        return v.reshape(mx, my)[1:-1, 1:-1]
 
     def diagonal(self) -> np.ndarray:
         """Coefficient of u_ij in apply; consistent with unit basis probes."""

@@ -75,6 +75,10 @@ class TestBlockedPoly3:
     )
     @example(nx=29, ny=40, tx=8, ty=13, mode="physical", k=WedgeK(5.0, 20.0, 40.0),
              sigma=1.0, seed=0)  # both axes end in a tile that absorbs a remainder
+    @example(nx=1, ny=1, tx=6, ty=6, mode="precond_grid", k=ConstantK(2.0),
+             sigma=0.5, seed=1)  # one point: in-place and out-of-place products round apart
+    @example(nx=17, ny=9, tx=24, ty=20, mode="precond_csl", k=WedgeK(3.0, 9.0, 27.0),
+             sigma=2.0, seed=2)  # one tile wider and taller than the grid
     def test_any_operator_and_plan_is_bitwise_identical(self, nx, ny, tx, ty, mode, k, sigma, seed):
         # non-square complex-stretched grids, every operator flavour, constant
         # and wedge k, unequal tile sides and random complex weights

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from helmgrid import (
     CycleDiagnostics,
@@ -15,7 +16,7 @@ from helmgrid import (
 )
 from helmgrid.multigrid import coarsen_field, coarsen_grid, level_shapes
 from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
-from helmgrid.problems import ProblemConfig, build_operators, solve
+from helmgrid.problems import ProblemConfig, build_operators, setup_problem, solve
 from tests.conftest import make_operator, random_field
 
 
@@ -238,6 +239,26 @@ class TestAppliedCubic:
                 s[:, j] = level.op.vec(h.smooth(ell, level.op.unvec(e), zero))
             rho = np.max(np.abs(np.linalg.eigvals(s)))
             assert rho <= 1.0, f"level {ell}: spectral radius {rho:.4f}"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: on helm-k80-poly3 the applied cubic's level-0 "
+        "radius is 1.081, outside the triangle certificate",
+    )
+    def test_applied_cubic_radius_on_every_level_at_k80(self):
+        # ARPACK's largest-modulus eigenvalue of one smoothing step with b = 0,
+        # which maps an error e to p(Dinv A) e, on the benchmark's poly3 problem
+        h = setup_problem(ProblemConfig(n=127, k=ConstantK(80.0), smoother="poly3")).hierarchy
+        radii = []
+        for ell, level in enumerate(h.levels[:-1]):
+            n = level.op.n_unknowns
+            zero = np.zeros(level.shape, dtype=complex)
+            step = LinearOperator(
+                (n, n), matvec=lambda e: level.op.vec(h.smooth(ell, level.op.unvec(e), zero)),
+                dtype=complex,
+            )
+            radii.append(abs(eigs(step, k=1, which="LM", v0=np.ones(n, dtype=complex))[0][0]))
+        assert max(radii) <= 1.0 + 1e-6, f"applied radii per level: {np.round(radii, 4)}"
 
     def test_two_smoothing_steps_converge_faster(self):
         # the same designs, smoothed once or twice on each side of the cycle
