@@ -29,7 +29,7 @@ hier = build_hierarchy(op, smoother="poly3")
 
 print("level-by-level spectral design (k = 20, beta = 0.5, sigma_max = 1):")
 for ell, level in enumerate(hier.levels):
-    ss = symbol_samples(level.op, level=ell)
+    ss = symbol_samples(level.op)
     tri = level.design.triangle
     w = level.design.weights
     print(f"\nlevel {ell}: {level.shape[0]}x{level.shape[1]}")

@@ -63,6 +63,8 @@ def parse_k_spec(text: str):
     text = text.strip()
     if text.startswith("wedge:"):
         parts = text.split(":")
+        if len(parts) > 3:
+            raise ValueError(f"wave number k takes at most one interface pair, got {text!r}")
         ks = [float(v) for v in parts[1].split(",")]
         if len(ks) != 3:
             raise ValueError(f"wedge spec needs three k values, got {parts[1]!r}")
@@ -210,7 +212,7 @@ def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):
-        samples = symbol_samples(level.op, level=ell)
+        samples = symbol_samples(level.op)
         sample_rows.extend(
             (f"{z.real:.16e}", f"{z.imag:.16e}", ell, int(hf))
             for z, hf in zip(samples.points, samples.hf_mask)

@@ -278,7 +278,7 @@ def linear_fit(x, y) -> dict:
     """Least-squares line y = a*x + c with the coefficient of determination."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
+    if np.unique(x).size < 2:
         return {"slope": 0.0, "intercept": float(y[0]) if y.size else 0.0, "r_squared": 1.0}
     a, c = np.polyfit(x, y, 1)
     resid = y - (a * x + c)
@@ -290,11 +290,15 @@ def linear_fit(x, y) -> dict:
 def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None = None):
     """``base`` at each wave number and the grid size :func:`pick_grid_size`
     gives it, ordered by k and validated; an invalid one's error names its k
-    and n."""
+    and n, and a repeated one its k."""
     if base is None:
         base = ProblemConfig()
+    k_list = sorted(k_list)
+    for k, next_k in zip(k_list, k_list[1:]):
+        if k == next_k:
+            raise ValueError(f"k_list: k={k:g} is repeated")
     configs = []
-    for k in sorted(k_list):
+    for k in k_list:
         n = pick_grid_size(k, ppw)
         try:
             configs.append(replace(base, n=n, k=ConstantK(float(k))).validate())

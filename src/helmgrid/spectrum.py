@@ -52,7 +52,6 @@ __all__ = [
     "Triangle",
     "SmootherWeights",
     "SpectralDesign",
-    "ResonantDiagonalError",
     "UnstableLevelError",
     "symbol_samples",
     "convex_hull",
@@ -68,10 +67,6 @@ THETA_COUNT = 64  # symbol samples per axis
 DEGENERATE_THICKEN = 1e-6
 EDGE_CAP = 56  # hull edge directions are subsampled beyond this count
 TRIANGLE_DIRECTIONS = 60  # uniform support directions beside the hull's edges
-
-
-class ResonantDiagonalError(ValueError):
-    """A frozen (spacing, k) pair makes the Jacobi diagonal vanish."""
 
 
 class UnstableLevelError(RuntimeError):
@@ -194,22 +189,12 @@ class SpectralDesign:
 # symbol sampling
 
 
-def _frozen_offsets(op: StencilOperator, level: int) -> np.ndarray:
+def _frozen_offsets(op: StencilOperator) -> np.ndarray:
     """The offsets ``s*k^2*hc^2/4`` of every unique (complex spacing, k) pair
-    on the operator's level; a pair's samples are ``c/4 - offset``.
-
-    Raises :class:`ResonantDiagonalError` if any pair's full diagonal
-    ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
-    """
+    on the operator's level; a pair's samples are ``c/4 - offset``."""
     spacings = np.unique(np.concatenate([op.grid.spacing_x, op.grid.spacing_y]))
     shifted_k2 = op.shift * np.unique(op.k_field.values).astype(complex) ** 2
     hc2 = spacings**2
-    d_full = 4.0 / hc2[:, None] - shifted_k2[None, :]
-    if np.any(np.abs(d_full) < 1e-12):
-        raise ResonantDiagonalError(
-            f"resonant diagonal on level {level}: a frozen (spacing, k) pair "
-            f"has |4/hc^2 - s*k^2| < 1e-12"
-        )
     return (hc2[:, None] * shifted_k2[None, :] / 4.0).ravel()
 
 
@@ -227,15 +212,11 @@ _ENDS = np.array([_C_SUM.min(), _C_SUM.max()]) / 4.0
 _HF_ENDS = np.array([_C_SUM[_HF].min(), _C_SUM[_HF].max()]) / 4.0
 
 
-def symbol_samples(op: StencilOperator, level: int = 0) -> SymbolSampleSet:
+def symbol_samples(op: StencilOperator) -> SymbolSampleSet:
     """Sample the Jacobi-normalized symbol on the ``THETA_COUNT x THETA_COUNT``
-    grid of (0, pi]^2 for every frozen pair.
-
-    Raises :class:`ResonantDiagonalError` (naming ``level``) if any pair's
-    full diagonal ``4/hc^2 - s*k^2`` is within 1e-12 of zero.
-    """
+    grid of (0, pi]^2 for every frozen pair."""
     # mu = lambda / d_grid with d_grid = 4/hc^2 the second-difference diagonal
-    offsets = _frozen_offsets(op, level)
+    offsets = _frozen_offsets(op)
     points = (_C_SUM[None, :] / 4.0 - offsets[:, None]).ravel()
     hf_mask = np.broadcast_to(_HF, (offsets.size, _HF.size)).ravel()
     return SymbolSampleSet(points=points, hf_mask=hf_mask)
@@ -612,7 +593,7 @@ def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
     ``THETA_COUNT**2`` samples per pair.  ``level`` names the level in errors
     and in the result.
     """
-    ends, hf_ends = _row_ends(_frozen_offsets(op, level))
+    ends, hf_ends = _row_ends(_frozen_offsets(op))
     tri = min_enclosing_triangle(convex_hull(ends))
     hf_hull = convex_hull(hf_ends)
     weights = optimize_weights(tri, hf_hull, level=level)

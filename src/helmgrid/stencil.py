@@ -58,13 +58,6 @@ class StencilOperator:
         self._x = _second_difference_coeffs(grid.spacing_x)
         self._y = _second_difference_coeffs(grid.spacing_y)
         self._jacobi_scales: dict[complex, np.ndarray] = {}
-        # blocks of <= 4096 nodes: grid-sized temporaries fault in fresh pages per set-up
-        step = max(1, 4096 // grid.n_y)
-        for x in range(0, grid.n_x, step):
-            g = self._x[0][x : x + step, None] + self._y[0][None, :]
-            d = g - self.shift * k_field.values[x : x + step] ** 2
-            if np.any(np.abs(d) < 1e-14 * np.abs(g)):
-                raise ValueError("operator diagonal has (near-)zero entries; resonant parameters")
 
     @property
     def mode(self) -> str:

@@ -53,10 +53,10 @@ def test_criterion_1_triangle_containment_lower_half(designed_hierarchies):
     total_escapes = 0
     total_samples = 0
     for (k, sigma), hier in designed_hierarchies.items():
-        for ell, level in enumerate(hier.levels):
+        for level in hier.levels:
             tri = level.design.triangle
             worst_im = max(worst_im, float(np.max(tri.vertices.imag)))
-            samples = symbol_samples(level.op, level=ell)
+            samples = symbol_samples(level.op)
             inside = tri.contains(samples.points, slack=1e-10)
             total_escapes += int(np.sum(~inside))
             total_samples += samples.points.size

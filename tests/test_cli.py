@@ -5,11 +5,11 @@ from dataclasses import fields
 
 import pytest
 
-from helmgrid import cli
+from helmgrid import cli, problems
 from helmgrid.cli import main, parse_k_spec, read_config_file
 from helmgrid.grid import ConstantK, WedgeK
 from helmgrid.multigrid import DivergenceError
-from helmgrid.problems import ProblemConfig, pick_grid_size
+from helmgrid.problems import ProblemConfig, linear_fit, pick_grid_size, sweep
 
 
 def read_rows(path):
@@ -163,7 +163,8 @@ class TestSolveCommand:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3", "1e200",
-                                       "wedge:10,20,30:0.8,0.2", "wedge:10,20,30:0,0.5"])
+                                       "wedge:10,20,30:0.8,0.2", "wedge:10,20,30:0,0.5",
+                                       "wedge:10,20,30:0.3,0.6:junk"])
     def test_bad_wave_number_names_field(self, tmp_path, capsys, value):
         out = tmp_path / "out"
         code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(out)])
@@ -269,6 +270,16 @@ class TestSolveCommand:
         assert report["error"] == "divergence detected at level 0"
         assert report["config"]["n"] == 15
 
+    def test_vanishing_full_diagonal_runs_to_maxiter(self, tmp_path, capsys):
+        # kh = 2 exactly: the physical operator's full diagonal 4/h^2 - k^2 is
+        # zero off the layer; the solve runs and reports its status
+        out = tmp_path / "kh2"
+        code = main(["solve", "--n", "31", "--k", "64", "--max-iter", "20",
+                     "--out-dir", str(out)])
+        assert code == 3
+        assert "maxiter" in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text())["report"]["status"] == "maxiter"
+
     def test_nonconverged_exit_code(self, tmp_path):
         code = main(["solve", "--n", "31", "--k", "20", "--max-iter", "2",
                      "--out-dir", str(tmp_path / "nc")])
@@ -301,6 +312,8 @@ class TestSweepCommand:
             (["--k-list", "10", "--ppw", "1,2"], "ppw: cannot parse '1,2'"),
             (["--k-list", "10", "--ppw", "0"], "ppw must be finite and > 0"),
             (["--k-list", "10", "--ppw", "inf"], "ppw must be finite and > 0"),
+            (["--k-list", "10,10"], "k_list: k=10 is repeated"),
+            (["--k-list", "20,10,20"], "k_list: k=20 is repeated"),
         ],
     )
     def test_bad_sweep_flag_names_key(self, tmp_path, capsys, extra, message):
@@ -345,6 +358,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    def test_library_sweep_rejects_repeated_k_before_solving(self, monkeypatch):
+        monkeypatch.setattr(problems, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="k_list: k=10 is repeated"):
+            sweep([10, 10])
+
+    def test_linear_fit_on_one_distinct_x(self):
+        # a repeated x is one point, fitted by the one-point branch; a numpy
+        # RankWarning would fail here, as Tier-1 turns warnings into errors
+        assert linear_fit([10, 10], [5, 6]) == {"slope": 0.0, "intercept": 5.0, "r_squared": 1.0}
+
 
 class TestSpectrumCommand:
     def test_row_counts_match_declared_samples(self, tmp_path):
@@ -360,8 +383,8 @@ class TestSpectrumCommand:
 
         problem = setup_problem(ProblemConfig(n=31, k=ConstantK(20.0)))
         declared = sum(
-            symbol_samples(lv.op, level=i).points.size
-            for i, lv in enumerate(problem.hierarchy.levels)
+            symbol_samples(lv.op).points.size
+            for lv in problem.hierarchy.levels
         )
         assert len(sample_rows) - 1 == declared
 

@@ -24,7 +24,6 @@ from helmgrid.grid import WavenumberField, build_wavenumber_field
 from helmgrid.multigrid import build_hierarchy
 from helmgrid.spectrum import (
     TRIANGLE_DIRECTIONS,
-    ResonantDiagonalError,
     SmootherWeights,
     _boundary_critical_points,
     _cut_rows,
@@ -33,7 +32,6 @@ from helmgrid.spectrum import (
     _row_ends,
     _support_lines,
     _triangle_candidates,
-    design_for_operator,
 )
 from helmgrid.problems import setup_problem
 from tests.conftest import make_operator, operator_for
@@ -157,16 +155,6 @@ def assert_same_candidates(hull):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
-
-
-def resonant_operator(n=7):
-    """An operator whose physical-mode pair has 4/h^2 - k^2 = 0, built past
-    the constructor's own resonance guard."""
-    h = 1.0 / (n + 1)
-    op = StencilOperator.__new__(StencilOperator)
-    op.grid, op.shift = build_stretched_grid(n), 1.0 + 0.0j
-    op.k_field = WavenumberField(np.full((n, n), 2.0 / h))
-    return op
 
 
 def level_operators(op):
@@ -321,13 +309,16 @@ class TestSymbolSamples:
         # inflated hull-bounding triangle
         assert np.all(tri.contains(eig, slack=0.05 * diam / max(tri.diameter, 1e-300)))
 
-    def test_resonant_diagonal_reported(self):
-        with pytest.raises(ResonantDiagonalError, match="level 3"):
-            symbol_samples(resonant_operator(), level=3)
-
-    def test_resonant_diagonal_reported_by_design(self):
-        with pytest.raises(ResonantDiagonalError, match="level 3"):
-            design_for_operator(resonant_operator(), level=3)
+    def test_vanishing_full_diagonal_sampled(self):
+        # kh = 2 exactly (n = 31, k = 64): the physical operator's full
+        # diagonal 4/h^2 - k^2 is zero off the layer, and nothing divides by it
+        op = make_operator(31, 64.0, sigma_max=1.0, mode="physical")
+        assert np.any(op.diagonal() == 0)
+        samples = symbol_samples(op)
+        assert np.all(np.isfinite(samples.points))
+        all_ends, hf_ends = _row_ends(_frozen_offsets(op))
+        for ends, pts in ((all_ends, samples.points), (hf_ends, samples.hf_points)):
+            assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
     @settings(max_examples=40)
     @given(
@@ -346,9 +337,9 @@ class TestSymbolSamples:
         # equal the hulls of every sample, byte for byte, on every level
         g = build_stretched_grid(n, None, sigma_max)
         fine = operator_for(mode, g, build_wavenumber_field(k, g), beta)
-        for ell, op in enumerate(level_operators(fine)):
-            samples = symbol_samples(op, level=ell)
-            all_ends, hf_ends = _row_ends(_frozen_offsets(op, ell))
+        for op in level_operators(fine):
+            samples = symbol_samples(op)
+            all_ends, hf_ends = _row_ends(_frozen_offsets(op))
             for ends, pts in ((all_ends, samples.points), (hf_ends, samples.hf_points)):
                 assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
@@ -406,8 +397,8 @@ class TestConvexHull:
     )
     def test_level_hulls_match_reference_chain(self, precond, k):
         problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
-        for ell, level in enumerate(problem.hierarchy.levels):
-            samples = symbol_samples(level.op, level=ell)
+        for level in problem.hierarchy.levels:
+            samples = symbol_samples(level.op)
             for pts in (samples.points, samples.hf_points, np.conj(samples.hf_points)):
                 assert np.array_equal(convex_hull(pts), reference_hull(pts))
 
@@ -427,8 +418,8 @@ class TestMinEnclosingTriangle:
     )
     def test_candidates_match_all_triples_search_on_level_hulls(self, precond, k):
         problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
-        for ell, level in enumerate(problem.hierarchy.levels):
-            samples = symbol_samples(level.op, level=ell)
+        for level in problem.hierarchy.levels:
+            samples = symbol_samples(level.op)
             for pts in (samples.points, samples.hf_points):
                 assert_same_candidates(convex_hull(pts))
 
@@ -605,7 +596,7 @@ class TestDesignPipeline:
         for level in hier31_poly3.levels:
             d = level.design
             assert d.weights.achieved_stability <= 1.0 + 1e-8
-            ss = symbol_samples(level.op, level=d.level)
+            ss = symbol_samples(level.op)
             assert np.all(d.triangle.contains(ss.points, slack=1e-10))
             assert np.max(d.triangle.vertices.imag) <= 1e-12
 
@@ -625,9 +616,9 @@ class TestDesignPipeline:
         # contain that level's own samples and certify the weights that run
         config = ProblemConfig(n=63, k=ConstantK(20.0), sigma_max=6.0, precond="csl",
                                smoother="poly3")
-        for ell, level in enumerate(setup_problem(config).hierarchy.levels):
+        for level in setup_problem(config).hierarchy.levels:
             d = level.design
-            ss = symbol_samples(level.op, level=ell)
+            ss = symbol_samples(level.op)
             assert np.all(d.triangle.contains(ss.points, slack=1e-10))
             assert d.weights.achieved_stability <= 1.0 + 1e-8
             got, want = np.array(level.jacobi_w), d.weights.w

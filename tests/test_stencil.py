@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
@@ -63,14 +63,14 @@ def axis_spacing(n, sigma_max):
 @st.composite
 def rect_problems(draw, max_side=31):
     """``(g, kf, beta)`` as :func:`problems` draws them, on a non-square grid
-    with sides in 1..max_side; kh in [0.05, 1.5] on the coarser axis."""
+    with sides in 1..max_side; kh in [0.05, 2.5] on the coarser axis."""
     n_x = draw(st.integers(1, max_side))
     n_y = draw(st.integers(1, max_side).filter(lambda m: m != n_x))
     beta = draw(st.floats(0.05, 3.0))
     gamma = np.sqrt(1 + 1j * beta)
     sigma_max = draw(st.floats(0.0, 1.0, exclude_max=True)) * gamma.real / gamma.imag
     g = ComplexGrid(axis_spacing(n_x, sigma_max), axis_spacing(n_y, sigma_max))
-    k = st.floats(0.05, 1.5).map(lambda kh: kh * (min(n_x, n_y) + 1))
+    k = st.floats(0.05, 2.5).map(lambda kh: kh * (min(n_x, n_y) + 1))
     spec = draw(st.one_of(st.builds(ConstantK, k), st.builds(WedgeK, k, k, k)))
     return g, build_wavenumber_field(spec, g), beta
 
@@ -99,15 +99,27 @@ def window_apply(op, u, x0, x1, y0, y1):
 def problems(draw):
     """``(g, kf, beta)``: odd n in 3..31, beta in [0.05, 3], sigma_max in
     [0, Re gamma / Im gamma) so the rotated layer stays valid, and a constant
-    or wedge k with kh in [0.05, 1.5] (clear of the resonance kh = 2)."""
+    or wedge k with kh in [0.05, 2.5]."""
     n = 2 * draw(st.integers(1, 15)) + 1
     beta = draw(st.floats(0.05, 3.0))
     gamma = np.sqrt(1 + 1j * beta)
     sigma_max = draw(st.floats(0.0, 1.0, exclude_max=True)) * gamma.real / gamma.imag
     g = build_stretched_grid(n, sigma_max=sigma_max)
-    k = st.floats(0.05, 1.5).map(lambda kh: kh * (n + 1))
+    k = st.floats(0.05, 2.5).map(lambda kh: kh * (n + 1))
     spec = draw(st.one_of(st.builds(ConstantK, k), st.builds(WedgeK, k, k, k)))
     return g, build_wavenumber_field(spec, g), beta
+
+
+def at_kh2(test):
+    """``test`` with explicit examples at kh = 2 exactly (n = 31, k = 64) for
+    every flavour at sigma_max 0 and 1: there the physical operator's full
+    diagonal 4/h^2 - k^2 is zero off the layer."""
+    for sigma_max in (0.0, 1.0):
+        g = build_stretched_grid(31, sigma_max=sigma_max)
+        problem = (g, build_wavenumber_field(ConstantK(64.0), g), 0.5)
+        for mode in MODES:
+            test = example(problem=problem, mode=mode, seed=0)(test)
+    return test
 
 
 class TestApply:
@@ -133,6 +145,7 @@ class TestApply:
 
     @settings(max_examples=30)
     @given(problem=problems(), mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+    @at_kh2
     def test_matches_dense_all_modes(self, problem, mode, seed):
         op = operator_for(mode, *problem)
         u = random_field(op.shape, seed=seed)
@@ -332,12 +345,3 @@ class TestInvariants:
             errs[n] = np.max(np.abs(op.apply(u) - 2 * np.pi**2 * u))
         order = np.log2(errs[32] / errs[64])
         assert order >= 1.9
-
-    def test_near_resonant_diagonal_rejected(self):
-        # k^2 = 4/h^2 at an interior point zeroes the diagonal
-        n = 7
-        h = 1.0 / (n + 1)
-        g = build_stretched_grid(n)
-        kf = WavenumberField(np.full((n, n), 2.0 / h))
-        with pytest.raises(ValueError, match="resonant|diagonal"):
-            StencilOperator(g, kf)
