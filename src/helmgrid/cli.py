@@ -12,10 +12,15 @@ import argparse
 import csv
 import json
 import math
+import os
+import platform
 import sys
 import typing
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
@@ -33,6 +38,7 @@ TRIANGLES_COLUMNS = [
     "w1_re", "w1_im", "w2_re", "w2_im", "w3_re", "w3_im",
     "achieved_stability", "achieved_smoothing",
 ]
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def write_csv(path: Path, columns, rows) -> Path:
@@ -44,8 +50,22 @@ def write_csv(path: Path, columns, rows) -> Path:
     return path
 
 
+def environment() -> dict:
+    """``report.json``'s versions, BLAS and BLAS thread variables (None when
+    unset): outputs are byte-identical only at equal BLAS thread counts."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    }
+
+
 def write_report(out_dir: Path, payload: dict) -> Path:
     path = out_dir / "report.json"
+    payload = {**payload, "environment": environment()}
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return path
 
@@ -62,16 +82,13 @@ def parse_k_spec(text: str):
     """``"40"`` -> ConstantK(40); ``"wedge:10,20,40[:0.33,0.67]"`` -> WedgeK."""
     text = text.strip()
     if text.startswith("wedge:"):
-        parts = text.split(":")
-        if len(parts) > 3:
-            raise ValueError(f"wave number k takes at most one interface pair, got {text!r}")
-        ks = [float(v) for v in parts[1].split(",")]
+        ks, *pairs = (part.split(",") for part in text.split(":")[1:])
+        if len(pairs) > 1 or any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"wave number k: a wedge takes one interface pair a,b, got {text!r}")
         if len(ks) != 3:
-            raise ValueError(f"wedge spec needs three k values, got {parts[1]!r}")
-        if len(parts) > 2:
-            a, b = (float(v) for v in parts[2].split(","))
-            return WedgeK(ks[0], ks[1], ks[2], interfaces=(a, b))
-        return WedgeK(ks[0], ks[1], ks[2])
+            raise ValueError(f"wedge spec needs three k values, got {','.join(ks)!r}")
+        interfaces = [tuple(map(float, pair)) for pair in pairs]  # none or one
+        return WedgeK(*map(float, ks), *interfaces)
     return ConstantK(float(text))
 
 
@@ -116,7 +133,6 @@ _HELP = {
     "beta": "complex shift of the preconditioner",
     "precond": "preconditioner flavor: grid or csl",
     "smoother": "level smoother: gmres3 or poly3",
-    "levels": "maximum multigrid levels",
     "nu_pre": "smoothing steps before the coarse-grid correction",
     "nu_post": "smoothing steps after the coarse-grid correction",
     "tol": "relative residual tolerance",
@@ -175,7 +191,7 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
         ]
         write_csv(out_dir / "solution.csv", SOLUTION_COLUMNS, rows)
     print(
-        f"solve: {'converged' if report.converged else report.status} in "
+        f"solve: {report.status} in "
         f"{report.iterations} iterations, final residual {report.final_residual:.3e}"
     )
     return 0 if report.converged else 3

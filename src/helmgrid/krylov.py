@@ -23,13 +23,16 @@ __all__ = ["SolveReport", "fgmres"]
 
 @dataclass(eq=False)
 class SolveReport:
-    converged: bool
     iterations: int
     residual_history: list
     wall_time: float
     status: str = "converged"
     final_residual: float = 0.0
     diagnostics: object = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +200,6 @@ def fgmres(
             break
 
     return x, SolveReport(
-        converged=status == "converged",
         iterations=iterations,
         residual_history=history,
         wall_time=time.perf_counter() - t0,

@@ -42,15 +42,12 @@ class DivergenceError(RuntimeError):
     """Non-finite values appeared during a cycle."""
 
 
-def level_shapes(shape: tuple[int, int], max_levels: int = 32) -> list[tuple[int, int]]:
+def level_shapes(shape: tuple[int, int]) -> list[tuple[int, int]]:
     """Shapes of the levels a hierarchy on a ``shape`` grid gets: each level
-    keeps every other node of the one above, and coarsening stops after
-    ``max_levels`` levels, once a side is at most :data:`COARSEST_MAX`, or at
-    an even side."""
+    keeps every other node of the one above, and coarsening stops once a side
+    is at most :data:`COARSEST_MAX`, or at an even side."""
     shapes = [tuple(shape)]
-    while len(shapes) < max_levels and min(shapes[-1]) > COARSEST_MAX and all(
-        s % 2 for s in shapes[-1]
-    ):
+    while min(shapes[-1]) > COARSEST_MAX and all(s % 2 for s in shapes[-1]):
         shapes.append(tuple((s - 1) // 2 for s in shapes[-1]))
     return shapes
 
@@ -129,7 +126,7 @@ class CycleDiagnostics:
     recorded, never masked.
     """
 
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list, init=False)
     cycles: int = field(default=0, init=False)
 
     def record(self, level: int, pre_norm: float, cgc_ratio: float, post_norm: float):
@@ -174,7 +171,6 @@ class Hierarchy:
 def build_hierarchy(
     fine: StencilOperator,
     smoother: str = "gmres3",
-    max_levels: int = 32,
     nu_pre: int = 1,
     nu_post: int = 1,
 ) -> Hierarchy:
@@ -190,13 +186,11 @@ def build_hierarchy(
     """
     if smoother not in SMOOTHERS:
         raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {smoother!r}")
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
     if nu_pre < 0 or nu_post < 0:
         raise ValueError("smoothing counts must be >= 0")
 
     ops = [fine]
-    for _ in level_shapes(fine.shape, max_levels)[1:]:
+    for _ in level_shapes(fine.shape)[1:]:
         op = ops[-1]
         ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift))
 

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_PPW = 10.0
+PPW_TOL = 0.05  # pick_grid_size keeps k*h within this fraction of 2*pi/ppw
 BASELINE_MAX_ITER = 2000
 # complex fields a solve holds beside its 2 * restart + 1 FGMRES basis fields:
 # five diagonals for the physical and for the fine shifted operator, at most a
@@ -66,7 +67,6 @@ class ProblemConfig:
     beta: float = 0.5
     precond: str = "grid"  # "grid" (complex-shifted grid) or "csl"
     smoother: str = "gmres3"  # "poly3" or "gmres3"
-    levels: int = 32
     nu_pre: int = 1
     nu_post: int = 1
     tol: float = 1e-6
@@ -115,14 +115,11 @@ class ProblemConfig:
                 )
         if self.smoother not in SMOOTHERS:
             raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        coarsest = level_shapes((self.n, self.n), self.levels)[-1][0]
+        coarsest = level_shapes((self.n, self.n))[-1][0]
         if coarsest * coarsest > DENSE_SIZE_CAP:
             raise ValueError(
-                f"grid size n={self.n} with levels={self.levels} leaves a "
-                f"{coarsest}x{coarsest} coarsest level, above the dense LU cap of "
-                f"{DENSE_SIZE_CAP} unknowns"
+                f"grid size n={self.n} leaves a {coarsest}x{coarsest} coarsest level, "
+                f"above the dense LU cap of {DENSE_SIZE_CAP} unknowns"
             )
         if self.nu_pre < 0 or self.nu_post < 0:
             raise ValueError("nu_pre and nu_post must be >= 0")
@@ -180,7 +177,6 @@ def setup_problem(config: ProblemConfig) -> Problem:
     hierarchy = build_hierarchy(
         m_op,
         smoother=config.smoother,
-        max_levels=config.levels,
         nu_pre=config.nu_pre,
         nu_post=config.nu_post,
     )
@@ -247,14 +243,15 @@ def solve_baseline(config: ProblemConfig, problem: Problem | None = None):
 # wave-number sweep
 
 
-def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int:
-    """Odd n with k*h within ``tol`` of the 2*pi/ppw target, preferring sizes
-    whose repeated halving reaches the coarsest-level cap; a ``k`` whose sizes
-    all exceed :func:`max_grid_size` is rejected before the search."""
+def pick_grid_size(k: float, ppw: float = DEFAULT_PPW) -> int:
+    """Odd n with k*h within :data:`PPW_TOL` of the 2*pi/ppw target,
+    preferring sizes whose repeated halving reaches the coarsest-level cap; a
+    ``k`` whose sizes all exceed :func:`max_grid_size` is rejected before the
+    search."""
     target = 2.0 * np.pi / ppw
     cap = max_grid_size()
-    lo = int(np.ceil(k / (target * (1 + tol)) - 1))
-    hi = min(int(np.floor(k / (target * (1 - tol)) - 1)), cap)
+    lo = int(np.ceil(k / (target * (1 + PPW_TOL)) - 1))
+    hi = min(int(np.floor(k / (target * (1 - PPW_TOL)) - 1)), cap)
     if lo > cap:
         raise ValueError(
             f"wave number k={k:g} needs a grid size n >= {lo} at {ppw:g} points per "
@@ -270,7 +267,7 @@ def pick_grid_size(k: float, ppw: float = DEFAULT_PPW, tol: float = 0.05) -> int
         if best is None or score > best[0]:
             best = (score, n)
     if best is None:
-        raise ValueError(f"no odd grid size keeps k*h within {tol:.0%} of target for k={k}")
+        raise ValueError(f"no odd grid size keeps k*h within {PPW_TOL:.0%} of target for k={k}")
     return best[1]
 
 

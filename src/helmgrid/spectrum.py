@@ -103,10 +103,6 @@ class SymbolSampleSet:
         if not np.all(np.isfinite(self.points)):
             raise ValueError("non-finite symbol samples")
 
-    @property
-    def hf_points(self) -> np.ndarray:
-        return self.points[self.hf_mask]
-
 
 @dataclass(frozen=True)
 class Triangle:

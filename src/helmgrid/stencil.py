@@ -146,11 +146,3 @@ class StencilOperator:
         if n > DENSE_SIZE_CAP:
             raise ValueError(f"dense assembly capped at {DENSE_SIZE_CAP} unknowns, got {n}")
         return self._matrix.toarray()
-
-    def vec(self, u: np.ndarray) -> np.ndarray:
-        """Flatten a field to the dense ordering (y fastest)."""
-        return np.asarray(u).ravel()
-
-    def unvec(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`vec`."""
-        return np.asarray(v).reshape(self.shape)

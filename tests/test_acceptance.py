@@ -101,7 +101,7 @@ def test_criterion_3_dense_eigenvalue_containment():
         # eigenvalues of the assembled preconditioner under the same Jacobi
         # normalization the samples use (independent dense eigensolver)
         a = op.assemble_dense()
-        dg = op.vec(op.grid_diagonal())
+        dg = op.grid_diagonal().ravel()
         eig = np.linalg.eigvals(a / dg[:, None])
         tri10 = _inflate(design.triangle, 1.10 / 1.05 - 1.0)  # 10% total inflation
         escapes.append(int(np.sum(~tri10.contains(eig, slack=0.0))))
@@ -232,7 +232,7 @@ def test_criterion_10_oracle_micro_suite():
     u = random_field((8, 8), seed=11)
     a = op.assemble_dense()
     apply_err = float(
-        np.max(np.abs(a @ op.vec(u) - op.vec(op.apply(u)))) / np.max(np.abs(a @ op.vec(u)))
+        np.max(np.abs(a @ u.ravel() - op.apply(u).ravel())) / np.max(np.abs(a @ u.ravel()))
     )
     # restrict/prolong adjoint identity
     uf = random_field((15, 15), seed=12)

@@ -1,15 +1,20 @@
 import csv
 import json
+import platform
 import time
 from dataclasses import fields
 
+import numpy as np
 import pytest
+import scipy
 
 from helmgrid import cli, problems
 from helmgrid.cli import main, parse_k_spec, read_config_file
 from helmgrid.grid import ConstantK, WedgeK
 from helmgrid.multigrid import DivergenceError
-from helmgrid.problems import ProblemConfig, linear_fit, pick_grid_size, sweep
+from helmgrid.problems import ProblemConfig, linear_fit, max_grid_size, pick_grid_size, sweep
+
+RESTART_CAPPING_255 = next(2**j for j in range(64) if max_grid_size(2**j) < 255)
 
 
 def read_rows(path):
@@ -54,6 +59,11 @@ class TestParsing:
         code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "unknown config key 'theta_count'" in capsys.readouterr().err
+        # the grid sets the hierarchy's depth; the old depth key is gone too
+        cfg.write_text("n = 15\nlevels = 3\n")
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config key 'levels'\n"
         assert not (tmp_path / "out").exists()
 
     def test_flags_override_file(self, tmp_path, capsys):
@@ -72,7 +82,7 @@ class TestParsing:
         values = {
             "n": 31, "k": "wedge:10,20,30", "layer_width": 3, "sigma_max": 0.5,
             "ramp": "linear", "beta": 0.6, "precond": "csl", "smoother": "gmres3",
-            "levels": 3, "nu_pre": 2, "nu_post": 0, "tol": 1e-5, "restart": 15,
+            "nu_pre": 2, "nu_post": 0, "tol": 1e-5, "restart": 15,
             "max_iter": 300, "rhs": "random", "seed": 4,
         }
         assert set(values) == {f.name for f in fields(ProblemConfig)}
@@ -126,6 +136,20 @@ class TestSolveCommand:
         sol_rows = read_rows(out / "solution.csv")
         assert len(sol_rows) - 1 == 63 * 63
 
+    def test_report_records_environment(self, tmp_path, monkeypatch):
+        # outputs are byte-identical per BLAS thread count, so the count is
+        # recorded; the variable is only read here, no thread is started
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["solve", "--n", "15", "--k", "10", "--out-dir", str(tmp_path)]) == 0
+        env = json.loads((tmp_path / "report.json").read_text())["environment"]
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert (env["python"], env["numpy"], env["scipy"]) == (
+            platform.python_version(), np.__version__, scipy.__version__)
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env == cli.environment()
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["solve", "--n", "31", "--k", "20", "--rhs", "random", "--seed", "3"]
         main(args + ["--out-dir", str(tmp_path / "a")])
@@ -164,7 +188,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "wedge:10,inf,30", "wedge:-1,2,3", "1e200",
                                        "wedge:10,20,30:0.8,0.2", "wedge:10,20,30:0,0.5",
-                                       "wedge:10,20,30:0.3,0.6:junk"])
+                                       "wedge:10,20,30:0.3,0.6:junk", "wedge:10,20,30:0.3",
+                                       "wedge:10,20,30:0.3,0.6,0.9"])
     def test_bad_wave_number_names_field(self, tmp_path, capsys, value):
         out = tmp_path / "out"
         code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(out)])
@@ -189,9 +214,9 @@ class TestSolveCommand:
         [
             (["--n", "66"], ["grid size n", "odd", "66"]),
             (["--n", "64"], ["grid size n", "odd", "64"]),
-            (["--n", "133", "--levels", "2"], ["n=133", "levels=2", "66x66"]),
+            (["--n", "133"], ["n=133", "66x66"]),
         ],
-        ids=["n66", "n64", "n133-levels2"],
+        ids=["n66", "n64", "n133"],
     )
     def test_invalid_grid_size_names_field(self, tmp_path, capsys, extra, fields):
         code = main(["solve", "--k", "10", *extra, "--out-dir", str(tmp_path)])
@@ -226,12 +251,6 @@ class TestSolveCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
 
-    def test_levels_cap_within_dense_cap_solves(self, tmp_path):
-        # coarsening stops at levels=2 on a 31x31 level, within the dense LU cap
-        code = main(["solve", "--n", "63", "--levels", "2", "--k", "40",
-                     "--out-dir", str(tmp_path)])
-        assert code == 0
-
     def test_setup_failure_exit_code(self, tmp_path, capsys):
         # a nearly unshifted preconditioner leaves no stable cubic on some level
         code = main(["solve", "--smoother", "poly3", "--beta", "0.01", "--n", "31",
@@ -244,6 +263,7 @@ class TestSolveCommand:
         assert report["status"] == "unstable_level"
         assert report["error"] == err.removeprefix("error: ").strip()
         assert report["config"]["beta"] == 0.01
+        assert report["environment"] == cli.environment()
 
     @pytest.mark.parametrize(
         "extra",
@@ -345,7 +365,9 @@ class TestSweepCommand:
         "extra, message",
         [
             (["--k-list", "10,20", "--layer-width", "5"], "k=10 (n=15): layer_width"),
-            (["--k-list", "20,160", "--levels", "2"], "k=160 (n=255): grid size n=255"),
+            # the least power-of-two restart that leaves n = 255 past the memory cap
+            (["--k-list", "20,160", "--restart", str(RESTART_CAPPING_255)],
+             "k=160 (n=255): grid size n=255"),
         ],
     )
     def test_invalid_k_config_makes_no_directory(self, tmp_path, capsys, extra, message):

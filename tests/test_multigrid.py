@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigs
 
@@ -14,9 +14,10 @@ from helmgrid import (
     restrict,
     v_cycle,
 )
-from helmgrid.multigrid import coarsen_field, coarsen_grid, level_shapes
+from helmgrid.multigrid import COARSEST_MAX, coarsen_field, coarsen_grid, level_shapes
 from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
-from helmgrid.problems import ProblemConfig, build_operators, setup_problem, solve
+from helmgrid.problems import ProblemConfig, build_operators, max_grid_size, setup_problem, solve
+from helmgrid.stencil import DENSE_SIZE_CAP
 from tests.conftest import make_operator, random_field
 
 
@@ -66,19 +67,35 @@ class TestCoarsening:
             assert np.max(level.design.triangle.vertices.imag) <= 1e-12
 
     def test_level_cap_bounded_by_dense_cap_alone(self):
-        h = build_hierarchy(make_operator(63, 20.0), max_levels=2)
-        assert h.depth == 2
-        assert h.levels[-1].shape == (31, 31)
+        # 131 -> 65 -> 32 stops at an even side within the dense LU cap;
+        # 133 -> 66 stops at once, above it
+        h = build_hierarchy(make_operator(131, 20.0))
+        assert h.depth == 3
+        assert h.levels[-1].shape == (32, 32)
         with pytest.raises(ValueError, match="dense assembly capped"):
-            build_hierarchy(make_operator(131, 20.0), max_levels=2)
+            build_hierarchy(make_operator(133, 20.0))
 
-    @pytest.mark.parametrize(
-        "n, max_levels", [(5, 32), (9, 32), (11, 32), (21, 32), (30, 32), (63, 32), (63, 3), (63, 2)]
-    )
-    def test_level_shapes_are_the_built_shapes(self, n, max_levels):
+    @pytest.mark.parametrize("n", [5, 9, 11, 21, 30, 63])
+    def test_level_shapes_are_the_built_shapes(self, n):
         # odd sides above COARSEST_MAX halve; an even side or the cap stops
-        h = build_hierarchy(make_operator(n, 5.0), max_levels=max_levels)
-        assert [lv.shape for lv in h.levels] == level_shapes((n, n), max_levels)
+        h = build_hierarchy(make_operator(n, 5.0))
+        assert [lv.shape for lv in h.levels] == level_shapes((n, n))
+
+    @settings(max_examples=300)
+    @given(n=st.integers(1, (min(4097, max_grid_size()) - 1) // 2).map(lambda i: 2 * i + 1))
+    @example(n=3)
+    @example(n=131)
+    @example(n=133)
+    def test_validate_accepts_exactly_a_coarsest_level_within_dense_cap(self, n):
+        shapes = level_shapes((n, n))
+        assert all(s % 2 and s > COARSEST_MAX for shape in shapes[:-1] for s in shape)
+        cx, cy = shapes[-1]
+        if cx * cy <= DENSE_SIZE_CAP:
+            ProblemConfig(n=n).validate()
+            return
+        with pytest.raises(ValueError) as exc:
+            ProblemConfig(n=n).validate()
+        assert f"n={n} " in str(exc.value) and f" {cx}x{cy} " in str(exc.value)
 
     @pytest.mark.parametrize("counts", [{"nu_pre": -1}, {"nu_post": -1}])
     def test_negative_smoothing_count_rejected(self, counts):
@@ -196,7 +213,7 @@ class TestVCycle:
         assert h.depth == 2
         n = 15
         a = op.assemble_dense()
-        dinv = 1.0 / op.vec(op.grid_diagonal())
+        dinv = 1.0 / op.grid_diagonal().ravel()
         s = np.eye(n * n, dtype=complex)
         for wi in h.levels[0].jacobi_w:
             s = (np.eye(n * n) - wi * dinv[:, None] * a) @ s
@@ -236,7 +253,7 @@ class TestAppliedCubic:
             for j in range(n):
                 e = np.zeros(n, dtype=complex)
                 e[j] = 1.0
-                s[:, j] = level.op.vec(h.smooth(ell, level.op.unvec(e), zero))
+                s[:, j] = h.smooth(ell, e.reshape(level.op.shape), zero).ravel()
             rho = np.max(np.abs(np.linalg.eigvals(s)))
             assert rho <= 1.0, f"level {ell}: spectral radius {rho:.4f}"
 
@@ -254,7 +271,7 @@ class TestAppliedCubic:
             n = level.op.n_unknowns
             zero = np.zeros(level.shape, dtype=complex)
             step = LinearOperator(
-                (n, n), matvec=lambda e: level.op.vec(h.smooth(ell, level.op.unvec(e), zero)),
+                (n, n), matvec=lambda e: h.smooth(ell, e.reshape(level.op.shape), zero).ravel(),
                 dtype=complex,
             )
             radii.append(abs(eigs(step, k=1, which="LM", v0=np.ones(n, dtype=complex))[0][0]))

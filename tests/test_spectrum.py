@@ -299,7 +299,7 @@ class TestSymbolSamples:
         # on a uniform-gamma constant-k level sit inside the sampled hull
         op = make_operator(16, 0.625 * 17, mode="precond_grid")
         a = op.assemble_dense()
-        dg = op.vec(op.grid_diagonal())
+        dg = op.grid_diagonal().ravel()
         eig = np.linalg.eigvals(a / dg[:, None])
         ss = symbol_samples(op)
         hull = convex_hull(ss.points)
@@ -314,10 +314,10 @@ class TestSymbolSamples:
         # diagonal 4/h^2 - k^2 is zero off the layer, and nothing divides by it
         op = make_operator(31, 64.0, sigma_max=1.0, mode="physical")
         assert np.any(op.diagonal() == 0)
-        samples = symbol_samples(op)
-        assert np.all(np.isfinite(samples.points))
+        s = symbol_samples(op)
+        assert np.all(np.isfinite(s.points))
         all_ends, hf_ends = _row_ends(_frozen_offsets(op))
-        for ends, pts in ((all_ends, samples.points), (hf_ends, samples.hf_points)):
+        for ends, pts in ((all_ends, s.points), (hf_ends, s.points[s.hf_mask])):
             assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
     @settings(max_examples=40)
@@ -338,9 +338,9 @@ class TestSymbolSamples:
         g = build_stretched_grid(n, None, sigma_max)
         fine = operator_for(mode, g, build_wavenumber_field(k, g), beta)
         for op in level_operators(fine):
-            samples = symbol_samples(op)
+            s = symbol_samples(op)
             all_ends, hf_ends = _row_ends(_frozen_offsets(op))
-            for ends, pts in ((all_ends, samples.points), (hf_ends, samples.hf_points)):
+            for ends, pts in ((all_ends, s.points), (hf_ends, s.points[s.hf_mask])):
                 assert convex_hull(ends).tobytes() == convex_hull(pts).tobytes()
 
 
@@ -398,8 +398,8 @@ class TestConvexHull:
     def test_level_hulls_match_reference_chain(self, precond, k):
         problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
         for level in problem.hierarchy.levels:
-            samples = symbol_samples(level.op)
-            for pts in (samples.points, samples.hf_points, np.conj(samples.hf_points)):
+            s = symbol_samples(level.op)
+            for pts in (s.points, s.points[s.hf_mask], np.conj(s.points[s.hf_mask])):
                 assert np.array_equal(convex_hull(pts), reference_hull(pts))
 
 
@@ -419,8 +419,8 @@ class TestMinEnclosingTriangle:
     def test_candidates_match_all_triples_search_on_level_hulls(self, precond, k):
         problem = setup_problem(ProblemConfig(n=63, k=k, sigma_max=1.0, precond=precond))
         for level in problem.hierarchy.levels:
-            samples = symbol_samples(level.op)
-            for pts in (samples.points, samples.hf_points):
+            s = symbol_samples(level.op)
+            for pts in (s.points, s.points[s.hf_mask]):
                 assert_same_candidates(convex_hull(pts))
 
     def test_single_point(self):
