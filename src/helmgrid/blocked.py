@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .smoother import poly3_smooth, weight_triple
+from .smoother import poly3_smooth
 from .stencil import StencilOperator
 
 __all__ = ["TilePlan", "BenchRow", "blocked_poly3", "bench", "FUSED_SWEEPS"]
@@ -74,8 +74,8 @@ class TilePlan:
 
 
 def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, plan: TilePlan) -> np.ndarray:
-    """Tiled fused triple damped-Jacobi sweep, equal to the naive path."""
-    w = weight_triple(weights)
+    """Tiled fused triple damped-Jacobi sweep with weights (w1, w2, w3), equal to the naive path."""
+    w1, w2, w3 = weights
     u = np.asarray(u, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if u.shape != op.shape or b.shape != op.shape:
@@ -86,7 +86,7 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
     u_pad = np.pad(u, 1)
     # the naive sweep's own full-domain weighted inverse diagonals, sliced per
     # tile, so tiles reproduce its arithmetic bit for bit
-    winv = [op.jacobi_scale(ws) for ws in w]
+    winv = [op.jacobi_scale(w) for w in (w1, w2, w3)]
 
     for (tx0, tx1), (ty0, ty1) in plan.tiles(op.shape):
         # one copy of the tile plus `ghost` layers, clipped to the domain, and

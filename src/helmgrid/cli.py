@@ -104,8 +104,9 @@ def parse_positive(key: str, text: str) -> list[float]:
 
 
 def read_config_file(path: str) -> dict:
-    """Plain ``key = value`` lines; '#' starts a comment."""
-    values = {}
+    """Plain ``key = value`` lines; '#' starts a comment.  A key may be set
+    once: ``sigma-max`` and ``sigma_max`` are the same key."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,7 +114,10 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

@@ -149,7 +149,7 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
 
 @dataclass(frozen=True)
 class ConstantK:
-    """Uniform wave number k0 > 0."""
+    """Uniform wave number 0 < k0 < inf."""
 
     k0: float
 
@@ -191,13 +191,13 @@ def build_wavenumber_field(spec: ConstantK | WedgeK, g: ComplexGrid) -> Wavenumb
     """Fill k(x, y) on the grid's interior nodes from a field spec."""
     n_x, n_y = g.shape
     if isinstance(spec, ConstantK):
-        if spec.k0 <= 0:
-            raise ValueError(f"constant k must be positive, got {spec.k0}")
+        if not 0 < spec.k0 < np.inf:
+            raise ValueError(f"k0 must be positive and finite, got {spec.k0}")
         return WavenumberField(np.full((n_x, n_y), spec.k0))
     if isinstance(spec, WedgeK):
         for name, k in (("k_top", spec.k_top), ("k_mid", spec.k_mid), ("k_bot", spec.k_bot)):
-            if k <= 0:
-                raise ValueError(f"{name} must be positive, got {k}")
+            if not 0 < k < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {k}")
         a, b = spec.interfaces
         if not (0.0 < a < b < 1.0):
             raise ValueError(f"wedge interfaces must satisfy 0 < a < b < 1, got {spec.interfaces}")

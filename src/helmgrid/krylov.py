@@ -1,12 +1,12 @@
-"""Flexible GMRES, whose restart cycle also serves as the GMRES(m) smoother.
+"""Flexible GMRES, whose restart cycle also serves as the GMRES(3) smoother.
 
 One Arnoldi process lives here.  A restart cycle builds up to m flexible
 Arnoldi steps from a residual: modified Gram-Schmidt with one
 reorthogonalization pass, Givens rotations for the least-squares problem, and
 the preconditioned vectors stored so the preconditioner may change from step
 to step -- required when the multigrid smoother is itself GMRES.  FGMRES
-loops restarts over it; the GMRES(m) smoother is one cycle from a zero
-correction with no preconditioner.  Residual norms come from the Givens
+loops restarts over it; the GMRES(3) smoother is one three-step cycle from a
+zero correction with no preconditioner.  Residual norms come from the Givens
 recurrence, and each cycle ends on a verified true residual.  Vector work
 runs in place through one scratch vector (aliasing rule: ``_arnoldi_cycle``).
 """

@@ -165,7 +165,7 @@ class Hierarchy:
         level = self.levels[ell]
         if self.smoother == "poly3":
             return poly3_smooth(level.op, u, b, level.jacobi_w, r)
-        return gmres_smooth(level.op, u, b, 3, r)
+        return gmres_smooth(level.op, u, b, r)
 
 
 def build_hierarchy(

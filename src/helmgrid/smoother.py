@@ -3,10 +3,10 @@
 The cubic smoother applies damped Jacobi with three different complex weights;
 its error propagation is the cubic ``p(Dinv A)``, with ``D`` the
 second-difference diagonal the cubic is certified in (``spectrum``).  The
-GMRES smoother solves the defect equation ``A c = r0`` with a zero initial
+GMRES(3) smoother solves the defect equation ``A c = r0`` with a zero initial
 correction by one restart cycle of the outer solver's Arnoldi process
-(``krylov``), m steps long; it picks its own coefficients anew at every call,
-so it is not a fixed linear operator across calls.
+(``krylov``), three steps long; it picks its own coefficients anew at every
+call, so it is not a fixed linear operator across calls.
 """
 
 from __future__ import annotations
@@ -14,18 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .krylov import _arnoldi_cycle
-from .spectrum import SmootherWeights
 from .stencil import StencilOperator
 
-__all__ = ["damped_jacobi", "poly3_smooth", "gmres_smooth", "weight_triple"]
-
-
-def weight_triple(weights) -> tuple[complex, complex, complex]:
-    """Extract (w1, w2, w3) from a SmootherWeights or a plain 3-sequence."""
-    if isinstance(weights, SmootherWeights):
-        return (weights.w1, weights.w2, weights.w3)
-    w1, w2, w3 = weights
-    return (complex(w1), complex(w2), complex(w3))
+__all__ = ["damped_jacobi", "poly3_smooth", "gmres_smooth"]
 
 
 def damped_jacobi(
@@ -53,26 +44,24 @@ def damped_jacobi(
 def poly3_smooth(
     op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, r: np.ndarray | None = None
 ) -> np.ndarray:
-    """Three damped Jacobi sweeps with weights w1, w2, w3, in that order;
+    """Three damped Jacobi sweeps with weights (w1, w2, w3), in that order;
     ``r`` is an optional known residual ``b - A u`` for the first sweep."""
-    w1, w2, w3 = weight_triple(weights)
+    w1, w2, w3 = weights
     u = damped_jacobi(op, u, b, w1, r)
     u = damped_jacobi(op, u, b, w2)
     return damped_jacobi(op, u, b, w3)
 
 
 def gmres_smooth(
-    op: StencilOperator, u: np.ndarray, b: np.ndarray, m: int = 3, r: np.ndarray | None = None
+    op: StencilOperator, u: np.ndarray, b: np.ndarray, r: np.ndarray | None = None
 ) -> np.ndarray:
-    """GMRES(m) on the defect equation from a zero correction.
+    """GMRES(3) on the defect equation from a zero correction.
 
     One restart cycle of the FGMRES Arnoldi process (no preconditioner, no
     stop target): returns ``u + c`` with ``c`` minimizing ``||r0 - A c||``
-    over the m-step Krylov space, fewer steps on breakdown, and ``u`` when
+    over the 3-step Krylov space, fewer steps on breakdown, and ``u`` when
     ``r0 = 0``.  ``r``, when given, is the caller's ``r0 = b - A u`` and
     saves the apply.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1 Arnoldi steps, got {m}")
     r0 = op.residual(b, u) if r is None else r
-    return _arnoldi_cycle(op.apply, None, u, r0, m)[0]
+    return _arnoldi_cycle(op.apply, None, u, r0, 3)[0]

@@ -67,6 +67,7 @@ THETA_COUNT = 64  # symbol samples per axis
 DEGENERATE_THICKEN = 1e-6
 EDGE_CAP = 56  # hull edge directions are subsampled beyond this count
 TRIANGLE_DIRECTIONS = 60  # uniform support directions beside the hull's edges
+TRIANGLE_INFLATE = 0.05  # a design's triangle is the near-minimal one grown by 5%
 
 
 class UnstableLevelError(RuntimeError):
@@ -117,11 +118,6 @@ class Triangle:
         return np.array([self.v1, self.v2, self.v3], dtype=complex)
 
     @property
-    def area(self) -> float:
-        v = self.vertices
-        return 0.5 * _cross(v[1] - v[0], v[2] - v[0])
-
-    @property
     def centroid(self) -> complex:
         return (self.v1 + self.v2 + self.v3) / 3.0
 
@@ -144,11 +140,6 @@ class Triangle:
             inside &= dist >= -tol
         return inside
 
-    def boundary_points(self, per_edge: int = 256) -> np.ndarray:
-        v = self.vertices
-        t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-        return np.concatenate([v[i] + t * (v[(i + 1) % 3] - v[i]) for i in range(3)])
-
 
 @dataclass(frozen=True)
 class SmootherWeights:
@@ -164,11 +155,6 @@ class SmootherWeights:
     def w(self) -> np.ndarray:
         return np.array([self.w1, self.w2, self.w3], dtype=complex)
 
-    def poly(self, z: np.ndarray) -> np.ndarray:
-        """p(z) = (1 - w1 z)(1 - w2 z)(1 - w3 z); p(0) = 1 by construction."""
-        z = np.asarray(z, dtype=complex)
-        return (1.0 - self.w1 * z) * (1.0 - self.w2 * z) * (1.0 - self.w3 * z)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDesign:
@@ -178,7 +164,6 @@ class SpectralDesign:
     triangle: Triangle
     weights: SmootherWeights
     hf_hull: np.ndarray
-    level: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +343,9 @@ def _ccw(vertices: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def min_enclosing_triangle(hull, inflate: float = 0.05) -> Triangle:
-    """Near-minimal triangle containing the hull, inflated about its centroid.
+def min_enclosing_triangle(hull) -> Triangle:
+    """Near-minimal triangle containing the hull; :func:`design_for_operator`
+    grows it by :data:`TRIANGLE_INFLATE` about its centroid.
 
     Candidates are triples of hull support lines (the hull's own edge lines
     plus a uniform direction grid), so containment holds by construction and
@@ -377,7 +363,7 @@ def min_enclosing_triangle(hull, inflate: float = 0.05) -> Triangle:
     if hull.size == 1 or diam == 0.0:
         z0 = complex(hull[0])
         r = DEGENERATE_THICKEN * max(1.0, abs(z0))
-        return _inflate(Triangle(z0 - r, z0 - 1j * r, z0 + r), inflate)
+        return Triangle(z0 - r, z0 - 1j * r, z0 + r)
 
     area2 = 0.0
     if hull.size >= 3:
@@ -410,7 +396,7 @@ def min_enclosing_triangle(hull, inflate: float = 0.05) -> Triangle:
     reach = np.max(np.abs(t_el - center), axis=1)
     pick = eligible[np.lexsort((areas[eligible], np.round(reach / diam, 6), pokes))][0]
     v = _ccw(tris[pick])
-    return _inflate(Triangle(complex(v[0]), complex(v[1]), complex(v[2])), inflate)
+    return Triangle(complex(v[0]), complex(v[1]), complex(v[2]))
 
 
 def _inflate(t: Triangle, inflate: float) -> Triangle:
@@ -423,8 +409,8 @@ def _inflate(t: Triangle, inflate: float) -> Triangle:
 
 
 def poly_max_on_boundary(weights, samples) -> float:
-    """max |(1 - w1 z)(1 - w2 z)(1 - w3 z)| over the given samples."""
-    w = weights.w if isinstance(weights, SmootherWeights) else np.asarray(weights, dtype=complex)
+    """max |(1 - w1 z)(1 - w2 z)(1 - w3 z)| over the samples, for weights (w1, w2, w3)."""
+    w = np.asarray(weights, dtype=complex)
     z = np.asarray(samples, dtype=complex)
     p = (1.0 - w[0] * z) * (1.0 - w[1] * z) * (1.0 - w[2] * z)
     return float(np.max(np.abs(p)))
@@ -586,14 +572,15 @@ def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
     for the high-frequency ones: every pair's samples form one horizontal row,
     whose inner points :func:`convex_hull` drops anyway, so both hulls equal
     those of :func:`symbol_samples`, byte for byte, without its
-    ``THETA_COUNT**2`` samples per pair.  ``level`` names the level in errors
-    and in the result.
+    ``THETA_COUNT**2`` samples per pair.  The near-minimal triangle is grown
+    here by :data:`TRIANGLE_INFLATE` about its centroid before the weights
+    are designed on it.  ``level`` names the level in errors.
     """
     ends, hf_ends = _row_ends(_frozen_offsets(op))
-    tri = min_enclosing_triangle(convex_hull(ends))
+    tri = _inflate(min_enclosing_triangle(convex_hull(ends)), TRIANGLE_INFLATE)
     hf_hull = convex_hull(hf_ends)
     weights = optimize_weights(tri, hf_hull, level=level)
-    return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull, level=level)
+    return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull)
 
 
 def jacobi_weights_for(design: SpectralDesign, op: StencilOperator) -> tuple[complex, complex, complex]:

@@ -107,10 +107,6 @@ class StencilOperator:
         v = _dia(self._ringed_store[:, x0 : x0 + mx, y0 : y0 + my]) @ u_pad.ravel()
         return v.reshape(mx, my)[1:-1, 1:-1]
 
-    def diagonal(self) -> np.ndarray:
-        """Coefficient of u_ij in apply; consistent with unit basis probes."""
-        return self._store[0].copy()
-
     def grid_diagonal(self) -> np.ndarray:
         """Diagonal of the second-difference part alone (the k=0 diagonal);
         damped Jacobi divides by it, and the cubic is certified in it."""
@@ -121,7 +117,7 @@ class StencilOperator:
         second-difference diagonal, read only.  A level's cubic sweeps with the
         same three weights on every call, so the last three weights' arrays
         are kept, formed at first use: operators damped Jacobi never runs on
-        (GMRES(m) levels, the physical one) keep none.  The cache-blocked
+        (GMRES(3) levels, the physical one) keep none.  The cache-blocked
         kernel slices the same arrays."""
         w = complex(w)
         if w not in self._jacobi_scales:

@@ -66,6 +66,20 @@ class TestParsing:
         assert capsys.readouterr().err == "error: unknown config key 'levels'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [("n = 31\nn = 63\n", "n"), ("sigma-max = 0.5\nsigma_max = 0.7\n", "sigma_max")],
+        ids=["n", "sigma_max"],
+    )
+    def test_repeated_config_key_named(self, tmp_path, capsys, text, key):
+        # a key set twice is an error, not a silent last-one-wins
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: key {key!r} is already set on line 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "case.cfg"
         cfg.write_text("n = 15\nk = 10\nmax_iter = 7\n")

@@ -124,6 +124,22 @@ class TestWavenumberField:
         with pytest.raises(ValueError, match="positive"):
             build_wavenumber_field(WedgeK(10.0, -1.0, 40.0), g)
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (ConstantK(np.inf), "k0"),
+            (ConstantK(np.nan), "k0"),
+            (WedgeK(np.inf, 20.0, 40.0), "k_top"),
+            (WedgeK(10.0, np.inf, 40.0), "k_mid"),
+            (WedgeK(10.0, 20.0, np.inf), "k_bot"),
+        ],
+    )
+    def test_rejects_non_finite_k(self, spec, field):
+        # an infinite k makes the operator's diagonal NaN, and so every apply
+        g = build_stretched_grid(9)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            build_wavenumber_field(spec, g)
+
     def test_rejects_bad_interfaces(self):
         g = build_stretched_grid(9)
         with pytest.raises(ValueError, match="interfaces"):

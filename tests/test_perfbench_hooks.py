@@ -43,3 +43,25 @@ def test_benchmark_imports_resolve():
         assert hasattr(helmgrid, name), name
     assert hasattr(helmgrid.problems, "make_preconditioner")
     assert hasattr(helmgrid.grid, "default_layer_width")
+
+
+def test_benchmark_reads_resolve(hier31_poly3, hier31_gmres):
+    # perfbench/workload.py solves with helmgrid.solve, keys levels on
+    # Level.shape, runs both cubic kernels and bench on Level.jacobi_w (a
+    # 3-sequence, None where no design exists) and gates on the design's
+    # certified maxima
+    assert callable(helmgrid.solve)
+    for level in hier31_poly3.levels:
+        assert level.shape == level.op.shape
+        assert isinstance(level.design.weights.achieved_stability, float)
+        assert isinstance(level.design.weights.achieved_smoothing, float)
+    level = hier31_poly3.levels[0]
+    weights, plan = level.jacobi_w, helmgrid.TilePlan(16, 16)
+    assert len(weights) == 3
+    u = np.zeros(level.shape, dtype=complex)
+    b = np.ones(level.shape, dtype=complex)
+    want = helmgrid.poly3_smooth(level.op, u, b, weights)
+    np.testing.assert_array_equal(helmgrid.blocked_poly3(level.op, u, b, weights, plan), want)
+    (row,) = helmgrid.bench(level.op, weights, [plan], repetitions=1, rng_seed=0)
+    assert row.flops_per_point > 0 and row.est_bytes_per_point > 0
+    assert all(level.jacobi_w is None for level in hier31_gmres.levels)
