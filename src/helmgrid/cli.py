@@ -158,7 +158,7 @@ def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemC
             parsed[key] = _PARSERS[key](text)
         except ValueError as exc:
             raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
-    return replace(ProblemConfig(), **parsed).validate()
+    return ProblemConfig(**parsed)
 
 
 def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,

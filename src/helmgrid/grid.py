@@ -67,13 +67,22 @@ def default_layer_width(n: int) -> int:
     return min(max(4, n // 8), n // 4)
 
 
-RAMPS = ("linear", "quadratic")
+def check_stretched_grid(n: int, layer_width: int | None, sigma_max: float, ramp: str) -> None:
+    """The checks :func:`build_stretched_grid` makes, without building the grid;
+    a layer with no stretch is no layer, so only one with ``sigma_max > 0`` overlaps."""
+    if n < 3:
+        raise ValueError(f"grid size n needs n >= 3 interior points, got {n}")
+    if not 0 <= sigma_max < np.inf:
+        raise ValueError(f"sigma_max must be finite and >= 0, got {sigma_max}")
+    if layer_width is not None and (layer_width < 0 or (sigma_max > 0 and layer_width > n / 4)):
+        raise ValueError(f"layer_width must be >= 0, and <= n/4 = {n / 4:g} when sigma_max > 0 "
+                         f"(layers overlap), got {layer_width}")
+    if ramp not in ("linear", "quadratic"):
+        raise ValueError(f"ramp must be 'linear' or 'quadratic', got {ramp!r}")
 
 
 def _layer_sigma(n: int, layer_width: int, sigma_max: float, ramp: str) -> np.ndarray:
     """Imaginary stretch profile sigma_j over the n+1 intervals of one axis."""
-    if ramp not in RAMPS:
-        raise ValueError(f"ramp must be 'linear' or 'quadratic', got {ramp!r}")
     power = 1 if ramp == "linear" else 2
     sigma = np.zeros(n + 1)
     if layer_width == 0 or sigma_max == 0.0:
@@ -110,23 +119,19 @@ def build_stretched_grid(
     ramp : {"quadratic", "linear"}
         Ramp law for sigma_j.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 interior points, got {n}")
-    if sigma_max < 0:
-        raise ValueError(f"sigma_max must be >= 0, got {sigma_max}")
+    check_stretched_grid(n, layer_width, sigma_max, ramp)
     if layer_width is None:
         layer_width = default_layer_width(n) if sigma_max > 0 else 0
-    if layer_width < 0:
-        raise ValueError(f"layer_width must be >= 0, got {layer_width}")
-    if sigma_max > 0 and layer_width > n / 4:
-        raise ValueError(
-            f"layer_width {layer_width} outside [0, n/4] = [0, {n / 4:g}]: layers overlap"
-        )
-    layer_width = min(layer_width, (n + 1) // 2)
     h = 1.0 / (n + 1)
     sigma = _layer_sigma(n, layer_width, sigma_max, ramp)
     spacing = h * (1.0 + 1j * sigma)
     return ComplexGrid(spacing_x=spacing, spacing_y=spacing.copy())
+
+
+def check_rotation(beta: float) -> None:
+    """The check :func:`rotate_grid` makes of the shift: finite and > 0."""
+    if not 0 < beta < np.inf:
+        raise ValueError(f"shift beta must be finite and > 0, got {beta}")
 
 
 def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
@@ -137,8 +142,7 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
     """
     if g.gamma != 1:
         raise ValueError(f"rotate_grid requires a physical grid, got gamma={g.gamma}")
-    if beta <= 0:
-        raise ValueError(f"shift beta must be > 0, got {beta}")
+    check_rotation(beta)
     gamma = np.sqrt(1.0 + 1j * beta)
     return ComplexGrid(
         spacing_x=g.spacing_x * gamma,
@@ -147,11 +151,22 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
     )
 
 
+def _check_wave_numbers(spec, names) -> None:
+    for name in names:
+        k = float(getattr(spec, name))
+        if not (k > 0 and k * k < np.inf):
+            raise ValueError(f"{name} must be positive and finite with a finite square "
+                             f"for wave number k, got {k}")
+
+
 @dataclass(frozen=True)
 class ConstantK:
-    """Uniform wave number 0 < k0 < inf."""
+    """Uniform wave number k0 > 0 with a finite square."""
 
     k0: float
+
+    def __post_init__(self):
+        _check_wave_numbers(self, ("k0",))
 
 
 @dataclass(frozen=True)
@@ -168,12 +183,18 @@ class WedgeK:
     k_bot: float
     interfaces: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0)
 
+    def __post_init__(self):
+        _check_wave_numbers(self, ("k_top", "k_mid", "k_bot"))
+        a, b = self.interfaces
+        if not 0.0 < a < b < 1.0:
+            raise ValueError(f"wave number k needs wedge interfaces 0 < a < b < 1, got {(a, b)}")
+
 
 @dataclass(frozen=True, eq=False)
 class WavenumberField:
     """Real k(x, y) sampled at the interior nodes, shape (n_x, n_y).
 
-    Model problems have k > 0 everywhere (enforced by the builder); k = 0 is
+    Model problems have k > 0 everywhere (enforced by the field specs); k = 0 is
     admitted here so pure-Laplacian oracles can reuse the operator machinery.
     """
 
@@ -191,16 +212,9 @@ def build_wavenumber_field(spec: ConstantK | WedgeK, g: ComplexGrid) -> Wavenumb
     """Fill k(x, y) on the grid's interior nodes from a field spec."""
     n_x, n_y = g.shape
     if isinstance(spec, ConstantK):
-        if not 0 < spec.k0 < np.inf:
-            raise ValueError(f"k0 must be positive and finite, got {spec.k0}")
         return WavenumberField(np.full((n_x, n_y), spec.k0))
     if isinstance(spec, WedgeK):
-        for name, k in (("k_top", spec.k_top), ("k_mid", spec.k_mid), ("k_bot", spec.k_bot)):
-            if not 0 < k < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {k}")
         a, b = spec.interfaces
-        if not (0.0 < a < b < 1.0):
-            raise ValueError(f"wedge interfaces must satisfy 0 < a < b < 1, got {spec.interfaces}")
         # Row index convention: y_i = (i+1)*h on the index lattice (stretch
         # does not move the band boundaries; bands are defined in index space).
         y = (np.arange(n_y) + 1.0) / (n_y + 1.0)

@@ -133,6 +133,16 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0):
     return np.add(x, c, out=c), estimates, breakdown
 
 
+def check_fgmres(tol: float, restart: int, max_iter: int) -> None:
+    """The checks :func:`fgmres` makes of its settings."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def fgmres(
     apply_A,
     precondition,
@@ -166,15 +176,12 @@ def fgmres(
         of it over a restart cycle, or an invariant Krylov space that holds
         no solution) and the iteration cap are reported as distinct statuses.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if restart < 1:
-        raise ValueError(f"restart must be >= 1, got {restart}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_fgmres(tol, restart, max_iter)
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=complex)
     b_norm = np.linalg.norm(b)
+    if not b_norm < np.inf:
+        raise ValueError(f"b must be finite with a finite norm, got norm {b_norm}")
     history = [1.0]
     x = np.zeros_like(b)
     iterations = 0

@@ -168,6 +168,14 @@ class Hierarchy:
         return gmres_smooth(level.op, u, b, r)
 
 
+def check_hierarchy(smoother: str, nu_pre: int, nu_post: int) -> None:
+    """The checks :func:`build_hierarchy` makes of its smoother settings."""
+    if smoother not in SMOOTHERS:
+        raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {smoother!r}")
+    if nu_pre < 0 or nu_post < 0:
+        raise ValueError(f"smoothing counts nu_pre and nu_post must be >= 0, got {nu_pre}, {nu_post}")
+
+
 def build_hierarchy(
     fine: StencilOperator,
     smoother: str = "gmres3",
@@ -184,11 +192,7 @@ def build_hierarchy(
     assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and ``nu_post`` are the
     smoothing counts of every cycle on the hierarchy.
     """
-    if smoother not in SMOOTHERS:
-        raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {smoother!r}")
-    if nu_pre < 0 or nu_post < 0:
-        raise ValueError("smoothing counts must be >= 0")
-
+    check_hierarchy(smoother, nu_pre, nu_post)
     ops = [fine]
     for _ in level_shapes(fine.shape)[1:]:
         op = ops[-1]

@@ -15,17 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    RAMPS,
-    ConstantK,
-    WedgeK,
-    build_stretched_grid,
-    build_wavenumber_field,
-    default_layer_width,
-    rotate_grid,
-)
-from .krylov import fgmres
-from .multigrid import (COARSEST_MAX, SMOOTHERS, CycleDiagnostics, Hierarchy, build_hierarchy,
+from .grid import (ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field, check_rotation,
+                   check_stretched_grid, default_layer_width, rotate_grid)
+from .krylov import check_fgmres, fgmres
+from .multigrid import (COARSEST_MAX, CycleDiagnostics, Hierarchy, build_hierarchy, check_hierarchy,
                         level_shapes, v_cycle)
 from .stencil import DENSE_SIZE_CAP, StencilOperator
 
@@ -57,7 +50,7 @@ FIELDS_PER_UNKNOWN = 5 + 5 + 2 + 3 + 1 + 8
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated knobs for one solve; defaults give the canonical constant-k case."""
+    """Knobs for one solve, checked when built; defaults give the canonical constant-k case."""
 
     n: int = 63
     k: ConstantK | WedgeK = ConstantK(20.0)
@@ -75,32 +68,24 @@ class ProblemConfig:
     rhs: str = "point"  # "point" or "random"
     seed: int = 0
 
-    def validate(self) -> "ProblemConfig":
-        if self.n < 3:
-            raise ValueError(f"grid size n must be >= 3, got {self.n}")
+    def __post_init__(self):
+        check_stretched_grid(self.n, self.layer_width, self.sigma_max, self.ramp)
         if self.n % 2 == 0:
             raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
+        check_fgmres(self.tol, self.restart, self.max_iter)
         cap = max_grid_size(self.restart)
         if self.n > cap:
             raise ValueError(
                 f"grid size n={self.n} needs more than this machine's physical memory; "
                 f"n <= {cap} fits with restart={self.restart}"
             )
-        for name in ("tol", "beta", "sigma_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.beta <= 0:
-            raise ValueError(f"shift beta must be > 0, got {self.beta}")
-        if self.sigma_max < 0:
-            raise ValueError(f"sigma_max must be >= 0, got {self.sigma_max}")
-        if self.layer_width is not None and not (0 <= self.layer_width <= self.n / 4):
-            raise ValueError(f"layer_width must be in [0, n/4], got {self.layer_width}")
-        if self.ramp not in RAMPS:
-            raise ValueError(f"ramp must be 'linear' or 'quadratic', got {self.ramp!r}")
-        if self.precond not in ("grid", "csl"):
-            raise ValueError(f"precond must be 'grid' or 'csl', got {self.precond!r}")
+        coarsest = level_shapes((self.n, self.n))[-1][0]
+        if coarsest * coarsest > DENSE_SIZE_CAP:
+            raise ValueError(
+                f"grid size n={self.n} leaves a {coarsest}x{coarsest} coarsest level, "
+                f"above the dense LU cap of {DENSE_SIZE_CAP} unknowns"
+            )
+        check_rotation(self.beta)
         layer = default_layer_width(self.n) if self.layer_width is None else self.layer_width
         if self.precond == "grid" and layer > 0:
             # the outermost layer spacing h(1 + i sigma_max), rotated by
@@ -113,31 +98,15 @@ class ProblemConfig:
                     f"layer spacing a non-positive real part; precond 'grid' needs "
                     f"sigma_max < {limit:.4g} at this beta (or use precond 'csl')"
                 )
-        if self.smoother not in SMOOTHERS:
-            raise ValueError(f"smoother must be 'poly3' or 'gmres3', got {self.smoother!r}")
-        coarsest = level_shapes((self.n, self.n))[-1][0]
-        if coarsest * coarsest > DENSE_SIZE_CAP:
-            raise ValueError(
-                f"grid size n={self.n} leaves a {coarsest}x{coarsest} coarsest level, "
-                f"above the dense LU cap of {DENSE_SIZE_CAP} unknowns"
-            )
-        if self.nu_pre < 0 or self.nu_post < 0:
-            raise ValueError("nu_pre and nu_post must be >= 0")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.rhs not in ("point", "random"):
-            raise ValueError(f"rhs must be 'point' or 'random', got {self.rhs!r}")
+        check_hierarchy(self.smoother, self.nu_pre, self.nu_post)
+        for name, choices in (("precond", ("grid", "csl")), ("rhs", ("point", "random"))):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be {choices[0]!r} or {choices[1]!r}, "
+                                 f"got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        k = self.k
-        ks = (k.k0,) if isinstance(k, ConstantK) else (k.k_top, k.k_mid, k.k_bot)
-        if not all(np.isfinite(v * v) and v > 0 for v in ks):
-            raise ValueError(f"wave number k must be positive with a finite square, got {k}")
-        if isinstance(k, WedgeK) and not 0.0 < k.interfaces[0] < k.interfaces[1] < 1.0:
-            raise ValueError(f"wave number k needs wedge interfaces 0 < a < b < 1, got {k.interfaces}")
-        return self
+        if not isinstance(self.k, (ConstantK, WedgeK)):
+            raise ValueError(f"wave number k must be a ConstantK or WedgeK, got {self.k!r}")
 
 
 def max_grid_size(restart: int = ProblemConfig.restart) -> int:
@@ -162,7 +131,6 @@ def build_operators(config: ProblemConfig) -> tuple[StencilOperator, StencilOper
     """``(physical_op, shifted_op)`` on one stretched grid and k-field: the
     shifted operator is the rotated grid (``precond = "grid"``) or the
     complex shift ``1 + i*beta`` (``"csl"``)."""
-    config.validate()
     g = build_stretched_grid(config.n, config.layer_width, config.sigma_max, config.ramp)
     kf = build_wavenumber_field(config.k, g)
     physical_op = StencilOperator(g, kf)
@@ -286,8 +254,8 @@ def linear_fit(x, y) -> dict:
 
 def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None = None):
     """``base`` at each wave number and the grid size :func:`pick_grid_size`
-    gives it, ordered by k and validated; an invalid one's error names its k
-    and n, and a repeated one its k."""
+    gives it, ordered by k; an invalid one's error names its k (and its n,
+    once picked), and a repeated one its k."""
     if base is None:
         base = ProblemConfig()
     k_list = sorted(k_list)
@@ -296,9 +264,10 @@ def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None =
             raise ValueError(f"k_list: k={k:g} is repeated")
     configs = []
     for k in k_list:
+        spec = ConstantK(float(k))
         n = pick_grid_size(k, ppw)
         try:
-            configs.append(replace(base, n=n, k=ConstantK(float(k))).validate())
+            configs.append(replace(base, n=n, k=spec))
         except ValueError as exc:
             raise ValueError(f"k={k:g} (n={n}): {exc}") from None
     return configs
@@ -306,7 +275,7 @@ def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None =
 
 def sweep(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None = None):
     """Solve one problem per wave number; rows are ordered by k.  Every
-    configuration is validated (:func:`sweep_configs`) before the first solve.
+    configuration is built (:func:`sweep_configs`) before the first solve.
 
     Returns ``(rows, fit)`` where each row holds (k, n, iterations, converged,
     wall_time) and ``fit`` is the least-squares line of iterations vs k.

@@ -28,7 +28,7 @@ second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
 with ``hc`` the complex (gamma-scaled, stretched) spacing.  A layer spacing
 ``h(1 + i*sigma)`` under the shift ``1 + i*beta`` gives ``Im(mu) <= 0`` while
 ``Im((1 + i*beta)(1 + i*sigma)^2) >= 0``, which is the ``sigma_max`` bound that
-``ProblemConfig.validate`` sets for ``precond = "grid"``; coarse spacings are
+a ``ProblemConfig`` enforces for ``precond = "grid"``; coarse spacings are
 sums of fine ones, so there every sample on every level lies in the closed
 lower half-plane.  With ``"csl"`` past that bound, each level's triangle
 encloses its samples where they lie.  Normalizing by the full diagonal

@@ -116,6 +116,16 @@ class TestParsing:
         own = {"command", "config", "out_dir", "diagnostics", "write_solution", "k_list", "ppw"}
         assert set(vars(args)) - own == {f.name for f in fields(ProblemConfig)}
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [({"n": 64}, "^grid size n must be odd"), ({"k": 20.0}, "^wave number k must be a ConstantK")],
+        ids=["n64", "bare-k"],
+    )
+    def test_invalid_config_raises_when_built(self, values, message):
+        # a config that exists is valid: no set-up or solve re-checks it
+        with pytest.raises(ValueError, match=message):
+            ProblemConfig(**values)
+
     def test_smoothing_count_flags_reach_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--n", "15", "--k", "10", "--nu-pre", "2", "--nu-post", "2",
@@ -398,6 +408,13 @@ class TestSweepCommand:
         monkeypatch.setattr(problems, "solve", lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="k_list: k=10 is repeated"):
             sweep([10, 10])
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_library_sweep_names_non_finite_k(self, monkeypatch, k):
+        # no grid size fits a non-finite k, so the error must name k first
+        monkeypatch.setattr(problems, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="^k0 must be positive .* wave number k"):
+            sweep([10, k])
 
     def test_linear_fit_on_one_distinct_x(self):
         # a repeated x is one point, fitted by the one-point branch; a numpy

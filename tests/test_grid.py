@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,12 @@ class TestStretchedGrid:
         with pytest.raises(ValueError, match="sigma_max"):
             build_stretched_grid(15, layer_width=2, sigma_max=-0.1)
 
+    @pytest.mark.parametrize("sigma_max", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, sigma_max):
+        # NaN fails every comparison, so only a finite-range check catches it
+        with pytest.raises(ValueError, match="^sigma_max must be finite"):
+            build_stretched_grid(15, sigma_max=sigma_max)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError, match="n >= 3"):
             build_stretched_grid(2)
@@ -87,6 +95,11 @@ class TestRotateGrid:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError, match="beta"):
             rotate_grid(build_stretched_grid(9), 0.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="^shift beta must be finite"):
+            rotate_grid(build_stretched_grid(9), beta)
 
     def test_preserves_spacing_ratios(self):
         g = build_stretched_grid(17, layer_width=4, sigma_max=0.8)
@@ -127,18 +140,20 @@ class TestWavenumberField:
     @pytest.mark.parametrize(
         "spec, field",
         [
-            (ConstantK(np.inf), "k0"),
-            (ConstantK(np.nan), "k0"),
-            (WedgeK(np.inf, 20.0, 40.0), "k_top"),
-            (WedgeK(10.0, np.inf, 40.0), "k_mid"),
-            (WedgeK(10.0, 20.0, np.inf), "k_bot"),
+            (partial(ConstantK, np.inf), "k0"),
+            (partial(ConstantK, np.nan), "k0"),
+            (partial(WedgeK, np.inf, 20.0, 40.0), "k_top"),
+            (partial(WedgeK, 10.0, np.inf, 40.0), "k_mid"),
+            (partial(WedgeK, 10.0, 20.0, np.inf), "k_bot"),
+            (partial(ConstantK, 1e200), "k0"),
+            (partial(WedgeK, 10.0, 1e200, 30.0), "k_mid"),
         ],
     )
     def test_rejects_non_finite_k(self, spec, field):
-        # an infinite k makes the operator's diagonal NaN, and so every apply
-        g = build_stretched_grid(9)
+        # an infinite k, or one whose square overflows, makes the operator's
+        # diagonal NaN, and so every apply
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
-            build_wavenumber_field(spec, g)
+            spec()
 
     def test_rejects_bad_interfaces(self):
         g = build_stretched_grid(9)

@@ -254,6 +254,20 @@ class TestFgmres:
         with pytest.raises(ValueError, match="max_iter"):
             fgmres(lambda v: v, None, np.ones(3, dtype=complex), max_iter=0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # NaN fails every comparison, so a solve with it could never converge
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            fgmres(lambda v: v, None, np.ones(3), tol=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        # a NaN ||b|| fails the loop's b_norm > 0 test, as a zero b does
+        b = np.ones(4, dtype=complex)
+        b[2] = bad
+        with pytest.raises(ValueError, match="^b must be finite"):
+            fgmres(lambda v: v, None, b)
+
 
 @st.composite
 def givens_entry(draw):

@@ -91,10 +91,10 @@ class TestCoarsening:
         assert all(s % 2 and s > COARSEST_MAX for shape in shapes[:-1] for s in shape)
         cx, cy = shapes[-1]
         if cx * cy <= DENSE_SIZE_CAP:
-            ProblemConfig(n=n).validate()
+            ProblemConfig(n=n)
             return
         with pytest.raises(ValueError) as exc:
-            ProblemConfig(n=n).validate()
+            ProblemConfig(n=n)
         assert f"n={n} " in str(exc.value) and f" {cx}x{cy} " in str(exc.value)
 
     @pytest.mark.parametrize("counts", [{"nu_pre": -1}, {"nu_post": -1}])

@@ -4,31 +4,35 @@ the benchmark's own smoke test."""
 
 import importlib.util
 import inspect
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import helmgrid
+from helmgrid import ConstantK, ProblemConfig
 from tests.conftest import make_operator
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(script):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{script}", PERFBENCH / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_is_bound():
-    tracing = load_tracing()
+    tracing = load("tracing")
     for owner, attr, _, _ in tracing.TARGETS:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
 
 
 def test_span_keys_resolve():
-    tracing = load_tracing()
+    tracing = load("tracing")
     u = np.zeros((7, 7), dtype=complex)
     assert tracing._op_key((make_operator(7, 4.0), u), {}) == (7, 7)
     assert tracing._op_key((make_operator(7, 4.0, mode="physical"), u), {}) == "physical"
@@ -65,3 +69,14 @@ def test_benchmark_reads_resolve(hier31_poly3, hier31_gmres):
     (row,) = helmgrid.bench(level.op, weights, [plan], repetitions=1, rng_seed=0)
     assert row.flops_per_point > 0 and row.est_bytes_per_point > 0
     assert all(level.jacobi_w is None for level in hier31_gmres.levels)
+
+
+def test_benchmark_configs_are_valid(monkeypatch):
+    # a config is checked when built, so one the checks reject would surface
+    # only as a failed benchmark run: build every workload's, and warm_up's two
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workload.py imports tracing by name
+    workload = load("workload")
+    for w in workload.WORKLOADS.values():
+        assert workload.config_for(w).n == w.n
+    tiny = ProblemConfig(n=15, k=ConstantK(workload.KH * 16), smoother="gmres3", **workload.SOLVE)
+    replace(tiny, n=7, k=ConstantK(workload.KH * 8), smoother="poly3")
