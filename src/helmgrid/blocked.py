@@ -72,6 +72,16 @@ class TilePlan:
     def describe(self) -> str:
         return f"{self.tile_x}x{self.tile_y}"
 
+    def _ranges(self, shape: tuple[int, int]):
+        """Per tile, ``ghost + 1`` ranges ``(x0, x1, y0, y1)``, clipped to the
+        domain: the region one fused application copies (the tile plus
+        ``ghost`` layers), then the window sweep s updates (``ghost - s``
+        layers), the last of which is the tile itself."""
+        nx, ny = shape
+        for (tx0, tx1), (ty0, ty1) in self.tiles(shape):
+            yield [(max(tx0 - d, 0), min(tx1 + d, nx), max(ty0 - d, 0), min(ty1 + d, ny))
+                   for d in range(self.ghost, -1, -1)]
+
 
 def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, plan: TilePlan) -> np.ndarray:
     """Tiled fused triple damped-Jacobi sweep with weights (w1, w2, w3), equal to the naive path."""
@@ -80,23 +90,18 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
     b = np.asarray(b, dtype=complex)
     if u.shape != op.shape or b.shape != op.shape:
         raise ValueError("field shapes do not match the operator")
-    nx, ny = op.shape
-    g = plan.ghost
     out = np.empty_like(u)
     u_pad = np.pad(u, 1)
     # the naive sweep's own full-domain weighted inverse diagonals, sliced per
     # tile, so tiles reproduce its arithmetic bit for bit
     winv = [op.jacobi_scale(w) for w in (w1, w2, w3)]
 
-    for (tx0, tx1), (ty0, ty1) in plan.tiles(op.shape):
-        # one copy of the tile plus `ghost` layers, clipped to the domain, and
-        # its ring; sweep s updates the tile plus ghost - s layers in place and
-        # reads only the region of sweep s - 1 (the copy's) and the zero ring
-        rx0, ry0 = max(tx0 - g, 0), max(ty0 - g, 0)
-        buf = u_pad[rx0 : min(tx1 + g, nx) + 2, ry0 : min(ty1 + g, ny) + 2].copy()
-        for s, scale in enumerate(winv, 1):
-            sx0, sx1 = max(tx0 - g + s, 0), min(tx1 + g - s, nx)
-            sy0, sy1 = max(ty0 - g + s, 0), min(ty1 + g - s, ny)
+    for (rx0, rx1, ry0, ry1), *windows in plan._ranges(op.shape):
+        # one copy of the region and its ring; sweep s updates its window in
+        # place and reads only the window of sweep s - 1 (the copy's) and the
+        # zero ring
+        buf = u_pad[rx0 : rx1 + 2, ry0 : ry1 + 2].copy()
+        for (sx0, sx1, sy0, sy1), scale in zip(windows, winv):
             window = buf[sx0 - rx0 : sx1 - rx0 + 2, sy0 - ry0 : sy1 - ry0 + 2]
             inner = window[1:-1, 1:-1]
             r = op.apply_window(window, sx0, sy0)
@@ -105,7 +110,7 @@ def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, pl
             np.subtract(b[sx0:sx1, sy0:sy1], r, out=r)
             np.multiply(r, scale[sx0:sx1, sy0:sy1], out=r)
             np.add(inner, r, out=inner)
-        out[tx0:tx1, ty0:ty1] = inner
+        out[sx0:sx1, sy0:sy1] = inner  # the last window is the tile
     return out
 
 
@@ -126,21 +131,13 @@ def _model_counts(op: StencilOperator, plan: TilePlan) -> tuple[float, float]:
     the tile+ghost region is read once and the tile written once per fused
     application, versus one read+write per point per sweep for the naive path.
     """
-    nx, ny = op.shape
-    n = nx * ny
     flops = 0.0
     bytes_moved = 0.0
-    g = plan.ghost
-    for (tx0, tx1), (ty0, ty1) in plan.tiles(op.shape):
-        rx0, rx1 = max(tx0 - g, 0), min(tx1 + g, nx)
-        ry0, ry1 = max(ty0 - g, 0), min(ty1 + g, ny)
-        bytes_moved += ((rx1 - rx0) * (ry1 - ry0) + (tx1 - tx0) * (ty1 - ty0)) * BYTES_PER_VALUE
-        for s in range(1, g + 1):
-            shrink = g - s
-            sx = min(tx1 + shrink, nx) - max(tx0 - shrink, 0)
-            sy = min(ty1 + shrink, ny) - max(ty0 - shrink, 0)
-            flops += sx * sy * FLOPS_PER_POINT_PER_SWEEP
-    return flops / n, bytes_moved / n
+    for region, *windows in plan._ranges(op.shape):
+        points = [(x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in (region, *windows)]
+        bytes_moved += (points[0] + points[-1]) * BYTES_PER_VALUE
+        flops += sum(points[1:]) * FLOPS_PER_POINT_PER_SWEEP
+    return flops / op.n_unknowns, bytes_moved / op.n_unknowns
 
 
 def bench(

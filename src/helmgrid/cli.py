@@ -3,7 +3,9 @@
 Configuration comes from an optional ``key = value`` text file plus flag
 overrides (flags win); both name the fields of ``ProblemConfig``.  All
 outputs are CSV (UTF-8, comma separator, ``.`` decimal point, one header row,
-fixed column order) or JSON.
+fixed column order; :func:`write_csv` formats the numbers) or JSON, and the
+first file written makes the output directory.  Bad input exits 1 before it;
+a failed set-up or solve exits 3 with ``report.json`` written.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import platform
 import sys
 import typing
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ import scipy
 
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep, sweep_configs
+from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep
 from .spectrum import UnstableLevelError, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
@@ -41,13 +44,21 @@ TRIANGLES_COLUMNS = [
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def write_csv(path: Path, columns, rows) -> Path:
+def _cells(value) -> tuple:
+    if isinstance(value, complex):
+        return f"{value.real:.16e}", f"{value.imag:.16e}"
+    return (f"{value:.16e}",) if isinstance(value, float) else (value,)
+
+
+def write_csv(path: Path, columns, rows) -> None:
+    """A header row, then ``rows``: a float is one ``.16e`` cell and a
+    complex value two (real, imaginary); other values are written as given."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(row)
-    return path
+            writer.writerow([cell for value in row for cell in _cells(value)])
 
 
 def environment() -> dict:
@@ -63,41 +74,46 @@ def environment() -> dict:
     }
 
 
-def write_report(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "report.json"
+def write_report(out_dir: Path, payload: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {**payload, "environment": environment()}
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return path
+    (out_dir / "report.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def write_failure_report(out_dir: Path, config: ProblemConfig, exc: Exception) -> Path:
-    """``report.json`` for a run that raised: the config echo, the status
-    (``unstable_level`` or ``divergence``) and the error text."""
-    status = "unstable_level" if isinstance(exc, UnstableLevelError) else "divergence"
-    return write_report(out_dir, {"config": config_summary(config), "status": status,
-                                  "error": str(exc)})
+def parse(key: str, parser, text: str):
+    """``parser(text)``; its ``ValueError`` becomes ``key: cannot parse 'text' (…)``."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
+
+
+def _k_spec(text: str):
+    """``"40"`` -> ``(ConstantK, (40.0,))``, ``"wedge:…"`` -> ``(WedgeK, (…))``."""
+    text = text.strip()
+    if not text.startswith("wedge:"):
+        return ConstantK, (float(text),)
+    ks, *pairs = (part.split(",") for part in text.split(":")[1:])
+    if len(pairs) > 1 or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"wave number k: a wedge takes one interface pair a,b, got {text!r}")
+    if len(ks) != 3:
+        raise ValueError(f"wedge spec needs three k values, got {','.join(ks)!r}")
+    return WedgeK, (*map(float, ks), *(tuple(map(float, pair)) for pair in pairs))
 
 
 def parse_k_spec(text: str):
-    """``"40"`` -> ConstantK(40); ``"wedge:10,20,40[:0.33,0.67]"`` -> WedgeK."""
-    text = text.strip()
-    if text.startswith("wedge:"):
-        ks, *pairs = (part.split(",") for part in text.split(":")[1:])
-        if len(pairs) > 1 or any(len(pair) != 2 for pair in pairs):
-            raise ValueError(f"wave number k: a wedge takes one interface pair a,b, got {text!r}")
-        if len(ks) != 3:
-            raise ValueError(f"wedge spec needs three k values, got {','.join(ks)!r}")
-        interfaces = [tuple(map(float, pair)) for pair in pairs]  # none or one
-        return WedgeK(*map(float, ks), *interfaces)
-    return ConstantK(float(text))
+    """``"40"`` -> ConstantK(40); ``"wedge:10,20,40[:0.33,0.67]"`` -> WedgeK;
+    a value the spec rejects parsed, so its error is ``k: <the spec's rule>``."""
+    spec, args = parse("k", _k_spec, text)
+    try:
+        return spec(*args)
+    except ValueError as exc:
+        raise ValueError(f"k: {exc}") from None
 
 
 def parse_positive(key: str, text: str) -> list[float]:
     """Comma-separated finite, positive numbers; an error names ``key``."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
+    values = parse(key, lambda t: [float(v) for v in t.split(",")], text)
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise ValueError(f"{key} must be finite and > 0, got {text!r}")
     return values
@@ -122,9 +138,11 @@ def read_config_file(path: str) -> dict:
 
 
 # the config schema: a parser per ProblemConfig field, from its type
-# (``int | None`` parses as int; ``k`` is a spec string, see parse_k_spec)
+# (``int | None`` parses as int; ``k`` is a spec string, see parse_k_spec);
+# each one's error names its key
 _PARSERS = {
-    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    name: partial(parse, name, next(t for t in typing.get_args(hint) or (hint,)
+                                    if t is not type(None)))
     for name, hint in typing.get_type_hints(ProblemConfig).items()
 }
 _PARSERS["k"] = parse_k_spec
@@ -154,45 +172,22 @@ def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemC
     for key, text in values.items():
         if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-        try:
-            parsed[key] = _PARSERS[key](text)
-        except ValueError as exc:
-            raise ValueError(f"{key}: cannot parse {text!r} ({exc})") from None
+        parsed[key] = _PARSERS[key](text)
     return ProblemConfig(**parsed)
 
 
 def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
               write_solution: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        x, report, problem = solve(config, collect_diagnostics=diagnostics)
-    except (UnstableLevelError, DivergenceError) as exc:
-        write_failure_report(out_dir, config, exc)
-        raise
-
+    x, report, _ = solve(config, collect_diagnostics=diagnostics)
     write_report(out_dir, {"config": config_summary(config), "report": report.to_dict()})
-    write_csv(
-        out_dir / "residuals.csv",
-        RESIDUALS_COLUMNS,
-        [(i, f"{r:.16e}") for i, r in enumerate(report.residual_history)],
-    )
+    write_csv(out_dir / "residuals.csv", RESIDUALS_COLUMNS, enumerate(report.residual_history))
     if diagnostics and report.diagnostics is not None:
-        write_csv(
-            out_dir / "diagnostics.csv",
-            DIAGNOSTICS_COLUMNS,
-            [
-                (r["cycle"], r["level"], f"{r['cgc_ratio']:.16e}",
-                 f"{r['pre_residual']:.16e}", f"{r['post_residual']:.16e}")
-                for r in report.diagnostics.rows
-            ],
-        )
+        write_csv(out_dir / "diagnostics.csv", DIAGNOSTICS_COLUMNS,
+                  [(r["cycle"], r["level"], r["cgc_ratio"], r["pre_residual"], r["post_residual"])
+                   for r in report.diagnostics.rows])
     if write_solution:
         nx, ny = x.shape
-        rows = [
-            (ix, iy, f"{x[ix, iy].real:.16e}", f"{x[ix, iy].imag:.16e}")
-            for iy in range(ny)
-            for ix in range(nx)
-        ]
+        rows = [(ix, iy, x[ix, iy]) for iy in range(ny) for ix in range(nx)]
         write_csv(out_dir / "solution.csv", SOLUTION_COLUMNS, rows)
     print(
         f"solve: {report.status} in "
@@ -202,8 +197,6 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
 
 
 def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
-    sweep_configs(k_list, ppw, config)  # an invalid k fails before the directory exists
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows, fit = sweep(k_list, ppw=ppw, base=config)
     write_csv(
         out_dir / "sweep.csv",
@@ -222,34 +215,15 @@ def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
 
 
 def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = replace(config, smoother="poly3")
-    try:
-        problem = setup_problem(config)
-    except UnstableLevelError as exc:
-        write_failure_report(out_dir, config, exc)
-        raise
+    problem = setup_problem(config)
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):
         samples = symbol_samples(level.op)
-        sample_rows.extend(
-            (f"{z.real:.16e}", f"{z.imag:.16e}", ell, int(hf))
-            for z, hf in zip(samples.points, samples.hf_mask)
-        )
-        design = level.design
-        v = design.triangle.vertices
-        w = design.weights
-        triangle_rows.append(
-            (ell,
-             f"{v[0].real:.16e}", f"{v[0].imag:.16e}",
-             f"{v[1].real:.16e}", f"{v[1].imag:.16e}",
-             f"{v[2].real:.16e}", f"{v[2].imag:.16e}",
-             f"{w.w1.real:.16e}", f"{w.w1.imag:.16e}",
-             f"{w.w2.real:.16e}", f"{w.w2.imag:.16e}",
-             f"{w.w3.real:.16e}", f"{w.w3.imag:.16e}",
-             f"{w.achieved_stability:.16e}", f"{w.achieved_smoothing:.16e}")
-        )
+        sample_rows.extend((z, ell, int(hf)) for z, hf in zip(samples.points, samples.hf_mask))
+        w = level.design.weights
+        triangle_rows.append((ell, *level.design.triangle.vertices, w.w1, w.w2, w.w3,
+                              w.achieved_stability, w.achieved_smoothing))
     write_csv(out_dir / "spectrum_samples.csv", SAMPLES_COLUMNS, sample_rows)
     write_csv(out_dir / "spectrum_triangles.csv", TRIANGLES_COLUMNS, triangle_rows)
     print(f"spectrum: {len(triangle_rows)} levels, {len(sample_rows)} samples")
@@ -304,25 +278,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir)
     try:
         file_values = read_config_file(args.config) if args.config else {}
         config = config_from_sources(file_values, args)
-        out_dir = Path(args.out_dir)
         if args.command == "solve":
             return run_solve(config, out_dir, diagnostics=args.diagnostics,
                              write_solution=args.write_solution)
         if args.command == "sweep":
-            k_list = parse_positive("k_list", args.k_list)
-            ppw = parse_positive("ppw", args.ppw)
-            if len(ppw) != 1:
-                raise ValueError(f"ppw: cannot parse {args.ppw!r} (expected one number)")
-            return run_sweep(k_list, ppw[0], config, out_dir)
-        if args.command == "spectrum":
-            return run_spectrum(config, out_dir)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, UnstableLevelError, DivergenceError) as exc:
+            return run_sweep(parse_positive("k_list", args.k_list), parse("ppw", float, args.ppw),
+                             config, out_dir)
+        config = replace(config, smoother="poly3")  # spectrum: the cubic's designs
+        return run_spectrum(config, out_dir)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValueError) else 3
+        return 1
+    except (UnstableLevelError, DivergenceError) as exc:  # a sweep echoes its base config
+        status = "unstable_level" if isinstance(exc, UnstableLevelError) else "divergence"
+        write_report(out_dir, {"config": config_summary(config), "status": status,
+                               "error": str(exc)})
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -67,13 +67,19 @@ def default_layer_width(n: int) -> int:
     return min(max(4, n // 8), n // 4)
 
 
+# the stencil multiplies two spacings of an axis; a spacing, fine or coarsened, is at
+# most sum_j |h (1 + i sigma_j)| <= 1 + sigma_max, so below the cap products are finite
+SIGMA_MAX_CAP = float(np.sqrt(np.finfo(float).max)) - 1.0
+
+
 def check_stretched_grid(n: int, layer_width: int | None, sigma_max: float, ramp: str) -> None:
     """The checks :func:`build_stretched_grid` makes, without building the grid;
     a layer with no stretch is no layer, so only one with ``sigma_max > 0`` overlaps."""
     if n < 3:
         raise ValueError(f"grid size n needs n >= 3 interior points, got {n}")
-    if not 0 <= sigma_max < np.inf:
-        raise ValueError(f"sigma_max must be finite and >= 0, got {sigma_max}")
+    if not 0 <= sigma_max < SIGMA_MAX_CAP:
+        raise ValueError(f"sigma_max must be finite, >= 0 and below {SIGMA_MAX_CAP:.4g}, where "
+                         f"the stencil's products of layer spacings overflow, got {sigma_max}")
     if layer_width is not None and (layer_width < 0 or (sigma_max > 0 and layer_width > n / 4)):
         raise ValueError(f"layer_width must be >= 0, and <= n/4 = {n / 4:g} when sigma_max > 0 "
                          f"(layers overlap), got {layer_width}")

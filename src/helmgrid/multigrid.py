@@ -249,11 +249,13 @@ def _cycle(h, ell, b, u, diag):
     ec = _cycle(h, ell + 1, restrict(r), None, diag)
     u = u + prolong(ec)
 
-    if diag is not None:
-        post_cgc = float(np.linalg.norm(op.residual(b, u)))
-        ratio = post_cgc / pre_norm if pre_norm > 0 else 0.0
+    r = None
+    if diag is not None:  # the cgc residual, handed on to the first post-smoothing step
+        r = op.residual(b, u)
+        ratio = float(np.linalg.norm(r)) / pre_norm if pre_norm > 0 else 0.0
     for _ in range(h.nu_post):
-        u = h.smooth(ell, u, b)
+        u = h.smooth(ell, u, b, r)
+        r = None
     if diag is not None:
         post_norm = float(np.linalg.norm(op.residual(b, u)))
         diag.record(ell, pre_norm, ratio, post_norm)

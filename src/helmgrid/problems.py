@@ -216,6 +216,8 @@ def pick_grid_size(k: float, ppw: float = DEFAULT_PPW) -> int:
     preferring sizes whose repeated halving reaches the coarsest-level cap; a
     ``k`` whose sizes all exceed :func:`max_grid_size` is rejected before the
     search."""
+    if not 0 < ppw < np.inf:
+        raise ValueError(f"ppw must be finite and > 0, got {ppw}")
     target = 2.0 * np.pi / ppw
     cap = max_grid_size()
     lo = int(np.ceil(k / (target * (1 + PPW_TOL)) - 1))

@@ -12,7 +12,8 @@ from helmgrid import cli, problems
 from helmgrid.cli import main, parse_k_spec, read_config_file
 from helmgrid.grid import ConstantK, WedgeK
 from helmgrid.multigrid import DivergenceError
-from helmgrid.problems import ProblemConfig, linear_fit, max_grid_size, pick_grid_size, sweep
+from helmgrid.problems import (ProblemConfig, linear_fit, max_grid_size, pick_grid_size, sweep,
+                               sweep_configs)
 
 RESTART_CAPPING_255 = next(2**j for j in range(64) if max_grid_size(2**j) < 255)
 
@@ -221,6 +222,27 @@ class TestSolveCommand:
         assert "wave number k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e200", "nan", "wedge:10,20,30:0.8,0.2"])
+    def test_wave_number_value_is_not_a_parse_error(self, tmp_path, capsys, value):
+        # the text parses; the spec rejects the value and its rule is the error
+        out = tmp_path / "out"
+        code = main(["solve", "--n", "15", "--k", value, "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k: ") and "wave number k" in err
+        assert "cannot parse" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma_max", ["1e160", "1e200"])
+    def test_sigma_max_past_spacing_overflow_names_field(self, tmp_path, capsys, sigma_max):
+        # the layer coefficients would overflow; csl sets no sigma_max limit of its own
+        out = tmp_path / "out"
+        code = main(["solve", "--n", "15", "--k", "10", "--sigma-max", sigma_max,
+                     "--precond", "csl", "--smoother", "poly3", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sigma_max must be finite, >= 0 and below")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("key, value", [("n", "abc"), ("tol", "small"), ("k", "wedge:1,x,3")])
     def test_unparsable_value_names_key(self, tmp_path, capsys, source, key, value):
@@ -313,6 +335,27 @@ class TestSolveCommand:
         assert report["status"] == "divergence"
         assert report["error"] == "divergence detected at level 0"
         assert report["config"]["n"] == 15
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [(["solve"], "solve"), (["sweep", "--k-list", "10"], "sweep"),
+         (["spectrum"], "setup_problem")],
+        ids=["solve", "sweep", "spectrum"],
+    )
+    def test_every_subcommand_reports_a_failure(self, tmp_path, capsys, monkeypatch, command,
+                                                target):
+        # one failure path: exit 3 and report.json, whichever command failed
+        def diverge(*args, **kwargs):
+            raise DivergenceError("divergence detected at level 1")
+
+        monkeypatch.setattr(cli, target, diverge)
+        out = tmp_path / "out"
+        assert main([*command, "--n", "15", "--k", "10", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: divergence detected at level 1\n"
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["error"]) == ("divergence", "divergence detected at level 1")
+        assert report["config"]["n"] == 15
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
     def test_vanishing_full_diagonal_runs_to_maxiter(self, tmp_path, capsys):
         # kh = 2 exactly: the physical operator's full diagonal 4/h^2 - k^2 is
@@ -415,6 +458,28 @@ class TestSweepCommand:
         monkeypatch.setattr(problems, "solve", lambda *args, **kwargs: pytest.fail("solved"))
         with pytest.raises(ValueError, match="^k0 must be positive .* wave number k"):
             sweep([10, k])
+
+    @pytest.mark.parametrize("ppw", [np.nan, np.inf, 0.0, -1.0])
+    def test_library_sweep_rejects_bad_ppw(self, ppw):
+        # pick_grid_size divides by ppw, so it checks it
+        with pytest.raises(ValueError, match="^ppw must be finite and > 0"):
+            sweep_configs([20], ppw=ppw)
+
+    def test_unstable_level_writes_report(self, tmp_path, capsys):
+        # a nearly unshifted preconditioner leaves no stable cubic at k = 20
+        # (n = 31); the report echoes the base configuration, not k's
+        out = tmp_path / "out"
+        code = main(["sweep", "--k-list", "20", "--smoother", "poly3", "--beta", "0.01",
+                     "--out-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unstable level")
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "unstable_level"
+        assert report["error"] == err.removeprefix("error: ").strip()
+        assert report["config"]["n"] == ProblemConfig.n
+        assert report["config"]["beta"] == 0.01
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
     def test_linear_fit_on_one_distinct_x(self):
         # a repeated x is one point, fitted by the one-point branch; a numpy

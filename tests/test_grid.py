@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
 
 from helmgrid import (
     ComplexGrid,
@@ -12,7 +14,8 @@ from helmgrid import (
     build_wavenumber_field,
     rotate_grid,
 )
-from helmgrid.grid import default_layer_width
+from helmgrid.grid import SIGMA_MAX_CAP, default_layer_width
+from helmgrid.problems import ProblemConfig, build_operators
 
 
 class TestStretchedGrid:
@@ -62,6 +65,25 @@ class TestStretchedGrid:
         # NaN fails every comparison, so only a finite-range check catches it
         with pytest.raises(ValueError, match="^sigma_max must be finite"):
             build_stretched_grid(15, sigma_max=sigma_max)
+
+    @pytest.mark.parametrize("sigma_max", [SIGMA_MAX_CAP, 1e160, 1e200])
+    def test_rejects_sigma_whose_spacings_the_stencil_cannot_multiply(self, sigma_max):
+        # at n = 15 the stencil's layer coefficients overflow from about 1.5e155
+        with pytest.raises(ValueError, match="^sigma_max must be finite, >= 0 and below"):
+            build_stretched_grid(15, sigma_max=sigma_max)
+
+    @given(n=st.integers(1, 31).map(lambda m: 2 * m + 1), sigma_max=st.floats(0.0, 1e200))
+    @example(n=15, sigma_max=float(np.nextafter(SIGMA_MAX_CAP, 0)))
+    @example(n=63, sigma_max=float(np.nextafter(SIGMA_MAX_CAP, 0)))
+    def test_accepted_sigma_applies_finitely(self, n, sigma_max):
+        # csl places no bound of its own on sigma_max, so the grid's check is all there is
+        try:
+            operators = build_operators(ProblemConfig(n=n, sigma_max=sigma_max, precond="csl"))
+        except ValueError:
+            reject()
+        ones = np.ones((n, n))
+        for op in operators:
+            assert np.all(np.isfinite(op.apply(ones)))
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError, match="n >= 3"):

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import LinearOperator, eigs
 
 from helmgrid import (
     CycleDiagnostics,
+    StencilOperator,
     build_hierarchy,
     coarse_solve,
     prolong,
@@ -299,6 +300,23 @@ class TestDiagnostics:
         for cycle in range(3):
             levels = sorted(r["level"] for r in diag.rows if r["cycle"] == cycle)
             assert levels == list(range(hier31_gmres.depth - 1))
+
+    @pytest.mark.parametrize("hierarchy", ["hier31_gmres", "hier31_poly3"])
+    def test_recording_costs_one_apply_per_level_visit(self, hierarchy, request, monkeypatch):
+        # the cgc residual is handed on to the first post-smoothing step, so a
+        # recorded level visit adds only the post-smoothing norm's apply, and
+        # the cycle's result is unchanged to the bit
+        h = request.getfixturevalue(hierarchy)
+        calls = []
+        apply = StencilOperator.apply
+        monkeypatch.setattr(StencilOperator, "apply", lambda op, u: calls.append(1) or apply(op, u))
+        b = random_field((31, 31), seed=13)
+        plain = v_cycle(h, b)
+        plain_calls = len(calls)
+        diag = CycleDiagnostics()
+        recorded = v_cycle(h, b, diagnostics=diag)
+        assert len(calls) - 2 * plain_calls == h.depth - 1 == len(diag.rows)
+        np.testing.assert_array_equal(recorded, plain)
 
     def test_wedge_records_divergent_ratios_without_masking(self):
         g = build_stretched_grid(63, None, 1.0)
