@@ -1,13 +1,15 @@
 """The triangle bound and the cubic smoother weights, level by level.
 
-For each level we sample the Jacobi-normalized symbol of the shifted operator
-over all frozen (spacing, k) pairs.  With a positive shift every sample lands
+For each level that is smoothed (every level but the coarsest, which dense LU
+solves) we sample the Jacobi-normalized symbol of the shifted operator over all
+frozen (spacing, k) pairs.  With a positive shift every sample lands
 in the lower half of the complex plane; a near-minimal triangle encloses them,
 and the three damped-Jacobi weights are chosen so the cubic
 p(z) = (1 - w1 z)(1 - w2 z)(1 - w3 z) satisfies |p| <= 1 on the whole triangle
 while being as small as possible on the high-frequency hull.  Both maxima
 are exact: along each edge |p|^2 is a real sextic whose maxima are roots of a
-quintic.
+quintic.  One cutting-plane loop designs every level's cubic: each round is
+one LP over all levels that still need cuts.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ op = StencilOperator(rotate_grid(g, 0.5), kf)
 hier = build_hierarchy(op, smoother="poly3")
 
 print("level-by-level spectral design (k = 20, beta = 0.5, sigma_max = 1):")
-for ell, level in enumerate(hier.levels):
+for ell, level in enumerate(hier.levels[:-1]):
     ss = symbol_samples(level.op)
     tri = level.design.triangle
     w = level.design.weights
@@ -42,3 +44,8 @@ for ell, level in enumerate(hier.levels):
     print(f"  certified (exact max on every edge): |p| on triangle = "
           f"{w.achieved_stability:.6f} (stable <= 1), "
           f"on high-frequency hull = {w.achieved_smoothing:.3f}")
+
+coarsest = hier.levels[-1]
+assert coarsest.design is None and coarsest.jacobi_w is None
+print(f"\nlevel {hier.depth - 1}: {coarsest.shape[0]}x{coarsest.shape[1]}, solved by dense LU "
+      "and never smoothed, so it gets no design")

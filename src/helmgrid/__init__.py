@@ -44,6 +44,7 @@ from .spectrum import (
     UnstableLevelError,
     convex_hull,
     design_for_operator,
+    design_levels,
     min_enclosing_triangle,
     optimize_weights,
     poly_max_on_boundary,

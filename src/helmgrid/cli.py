@@ -215,18 +215,21 @@ def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
 
 
 def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
+    """Every level's symbol samples, and a triangle row per designed level."""
     problem = setup_problem(config)
     sample_rows = []
     triangle_rows = []
     for ell, level in enumerate(problem.hierarchy.levels):
         samples = symbol_samples(level.op)
         sample_rows.extend((z, ell, int(hf)) for z, hf in zip(samples.points, samples.hf_mask))
-        w = level.design.weights
-        triangle_rows.append((ell, *level.design.triangle.vertices, w.w1, w.w2, w.w3,
-                              w.achieved_stability, w.achieved_smoothing))
+        if level.design is not None:  # the coarsest level is solved by LU, not smoothed
+            w = level.design.weights
+            triangle_rows.append((ell, *level.design.triangle.vertices, w.w1, w.w2, w.w3,
+                                  w.achieved_stability, w.achieved_smoothing))
     write_csv(out_dir / "spectrum_samples.csv", SAMPLES_COLUMNS, sample_rows)
     write_csv(out_dir / "spectrum_triangles.csv", TRIANGLES_COLUMNS, triangle_rows)
-    print(f"spectrum: {len(triangle_rows)} levels, {len(sample_rows)} samples")
+    print(f"spectrum: {problem.hierarchy.depth} levels, {len(triangle_rows)} designed, "
+          f"{len(sample_rows)} samples")
     return 0
 
 

@@ -17,7 +17,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .grid import ComplexGrid, WavenumberField
 from .smoother import gmres_smooth, poly3_smooth
-from .spectrum import SpectralDesign, design_for_operator, jacobi_weights_for
+# design_for_operator is not called here; perfbench/tracing.py wraps it by this name
+from .spectrum import SpectralDesign, design_for_operator, design_levels, jacobi_weights_for
 from .stencil import StencilOperator
 
 __all__ = [
@@ -184,13 +185,15 @@ def build_hierarchy(
 ) -> Hierarchy:
     """Build operators, per-level smoother parameters and the coarsest LU.
 
-    ``smoother`` is one of :data:`SMOOTHERS`.  With ``poly3`` every level gets
-    a spectral design (triangle + optimized cubic weights) and the
-    damped-Jacobi weights that realize it; an unstable level raises from the
-    weight optimizer.  The levels have the shapes :func:`level_shapes` gives;
-    the coarsest level, whatever its size, is factored by dense LU, whose
-    assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and ``nu_post`` are the
-    smoothing counts of every cycle on the hierarchy.
+    ``smoother`` is one of :data:`SMOOTHERS`.  With ``poly3`` every level
+    but the coarsest gets a spectral design (triangle + optimized cubic
+    weights) and the damped-Jacobi weights that realize it, all from one
+    cut loop (:func:`design_levels`); the lowest unstable level raises.  The
+    coarsest level is solved by LU and never smoothed, so its ``design`` and
+    ``jacobi_w`` are None.  The levels have the shapes :func:`level_shapes`
+    gives; the coarsest level, whatever its size, is factored by dense LU,
+    whose assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and
+    ``nu_post`` are the smoothing counts of every cycle on the hierarchy.
     """
     check_hierarchy(smoother, nu_pre, nu_post)
     ops = [fine]
@@ -198,14 +201,14 @@ def build_hierarchy(
         op = ops[-1]
         ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift))
 
-    levels = []
-    for ell, op in enumerate(ops):
-        design = None
-        jac = None
-        if smoother == "poly3":
-            design = design_for_operator(op, level=ell)
-            jac = jacobi_weights_for(design, op)
-        levels.append(Level(op=op, design=design, jacobi_w=jac))
+    if smoother == "poly3":
+        designs = design_levels(ops[:-1])
+        levels = [Level(op, d, jacobi_weights_for(d, op)) for op, d in zip(ops, designs)]
+        levels.append(Level(op=ops[-1]))
+    else:
+        levels = []
+        for op in ops:
+            levels.append(Level(op=op))
 
     a = ops[-1].assemble_dense()
     lu, piv = lu_factor(a)

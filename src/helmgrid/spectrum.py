@@ -1,8 +1,9 @@
 """Per-level spectral design for the cubic polynomial smoother.
 
-For each multigrid level we sample the Jacobi-normalized Fourier symbol of the
-level's (shifted) operator over frozen coefficient pairs, bound the samples by
-a near-minimal triangle in the complex plane, and pick three damped-Jacobi
+For each smoothed multigrid level (every level but the coarsest, which dense
+LU solves) we sample the Jacobi-normalized Fourier symbol of the level's
+(shifted) operator over frozen coefficient pairs, bound the samples by a
+near-minimal triangle in the complex plane, and pick three damped-Jacobi
 weights whose cubic error polynomial ``p(z) = (1-w1 z)(1-w2 z)(1-w3 z)`` is
 stable on the whole triangle (|p| <= 1) and as small as possible on the
 high-frequency part of the spectrum.
@@ -13,15 +14,21 @@ with |p| <= 1 - 1e-6 on triangle cuts and the high-frequency maximum within
 0.1% of the optimum on the hull's boundary (see :func:`optimize_weights`).
 Both maxima are exact per edge: along an edge ``|p|^2`` is a real sextic, so
 its maxima are roots of a quintic, and by the maximum-modulus principle the
-triangle's edges certify the whole triangle.
+triangle's edges certify the whole triangle.  One cut loop designs every
+level (:func:`design_levels`): each round is one LP over all levels that still
+need cuts, block-diagonal in their unknowns, so each block's optimum is its
+level's own.
 
 The samples lie on one fixed grid of (0, pi]^2, :data:`THETA_COUNT` = 64
 angles per axis, on every level.  Each frozen pair's samples share one
 imaginary part, a horizontal row whose inner points are never hull vertices,
-so :func:`design_for_operator` hands :func:`convex_hull` each pair's two row
-ends, not its 64^2 samples, and gets the samples' hulls byte for byte.  The
-triangle search intersects only the triples of support lines that bound a
-triangle.  The LP rounds take most of a design's time.
+so the design hands :func:`convex_hull` each pair's two row ends, not its
+64^2 samples, and gets the samples' hulls byte for byte.  The triangle search
+intersects only the triples of support lines that bound a triangle.  The LP
+rounds take about half of a design's time, most of it scipy's per-call work
+around HiGHS, which the one LP per round pays once for all levels.  A level
+whose row ends or triangle are too large for a finite cubic (``|z|^3``
+overflows) is reported unstable before any arithmetic that could overflow.
 
 Normalization: samples are the operator symbol divided by the diagonal of its
 second-difference part, ``mu = [(2-2cos(tx)) + (2-2cos(ty))]/4 - s*k^2*hc^2/4``
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .stencil import StencilOperator
@@ -58,6 +66,7 @@ __all__ = [
     "min_enclosing_triangle",
     "optimize_weights",
     "poly_max_on_boundary",
+    "design_levels",
     "design_for_operator",
     "jacobi_weights_for",
 ]
@@ -227,7 +236,7 @@ def convex_hull(points) -> np.ndarray:
     run is a convex combination of them, so it is never a hull vertex.  Every
     frozen (spacing, k) pair's symbol samples ``c/4 - s*k^2*hc^2/4``, ``c``
     real, form one such run: :func:`symbol_samples` output collapses to two
-    points per pair here, and :func:`design_for_operator` passes just those.
+    points per pair here, and the design passes just those.
     """
     pts = np.unique(np.asarray(points, dtype=complex))
     if pts.size < 3:
@@ -344,7 +353,7 @@ def _ccw(vertices: np.ndarray) -> np.ndarray:
 
 
 def min_enclosing_triangle(hull) -> Triangle:
-    """Near-minimal triangle containing the hull; :func:`design_for_operator`
+    """Near-minimal triangle containing the hull; the design
     grows it by :data:`TRIANGLE_INFLATE` about its centroid.
 
     Candidates are triples of hull support lines (the hull's own edge lines
@@ -421,7 +430,9 @@ _LP_MARGIN = 1e-6  # triangle cuts hold |p| <= 1 - margin, well above _LP_TOL
 _HF_GAP = 1e-3  # accepted relative gap on the high-frequency max, plus an
 _HF_SLACK = 1e-9  # absolute slack above _LP_TOL so that the cut loop ends
 _START_DIRECTIONS = 8
-_MAX_ROUNDS = 60
+_MAX_ROUNDS = 60  # LP rounds of each level
+_COST = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # minimize t of (a1, a2, a3, t)
+_CUBE_MAX = np.finfo(float).max ** (1.0 / 3.0)  # the largest |z| whose |z|^3 is finite
 _ROOT_IMAG_TOL = 1e-4  # rounding moves near-multiple real roots off the axis
 
 
@@ -490,6 +501,111 @@ def _cut_rows(z: np.ndarray, phi: np.ndarray, t_coef: float, limit: float):
     return rows, limit - c.real
 
 
+def _start_cuts(t: Triangle, hf_hull: np.ndarray) -> list:
+    """Cuts at the triangle's vertices and the hull's points, in
+    :data:`_START_DIRECTIONS` directions each."""
+    tri_v = t.vertices
+    phi0 = 2.0 * np.pi * np.arange(_START_DIRECTIONS) / _START_DIRECTIONS
+    return [
+        _cut_rows(np.repeat(tri_v, phi0.size), np.tile(phi0, tri_v.size), 0.0, 1.0 - _LP_MARGIN),
+        _cut_rows(np.repeat(hf_hull, phi0.size), np.tile(phi0, hf_hull.size), -1.0, 0.0),
+    ]
+
+
+def _new_cuts(a: np.ndarray, bound: float, t: Triangle, hf_hull: np.ndarray) -> list:
+    """Cuts at the exact boundary maxima of ``p = 1 + a1 z + a2 z^2 + a3 z^3``
+    where |p| > 1 on the triangle or ``|p| > bound (1 + 1e-3) + 1e-9`` on the
+    hull, ``bound`` being the LP's ``t``; empty when the cubic needs none."""
+    coeffs = np.concatenate(([1.0], a))
+    z_tri = _boundary_critical_points(coeffs, t.vertices)
+    z_hf = _boundary_critical_points(coeffs, hf_hull)
+    p_tri = 1.0 + z_tri * (a[0] + z_tri * (a[1] + z_tri * a[2]))
+    p_hf = 1.0 + z_hf * (a[0] + z_hf * (a[1] + z_hf * a[2]))
+    bad_tri = np.abs(p_tri) > 1.0
+    bad_hf = np.abs(p_hf) > bound * (1.0 + _HF_GAP) + _HF_SLACK
+    if not (bad_tri.any() or bad_hf.any()):
+        return []
+    return [
+        _cut_rows(z_tri[bad_tri], np.angle(p_tri[bad_tri]), 0.0, 1.0 - _LP_MARGIN),
+        _cut_rows(z_hf[bad_hf], np.angle(p_hf[bad_hf]), -1.0, 0.0),
+    ]
+
+
+def _solve_blocks(blocks: list, levels: list) -> list:
+    """One LP over every level's cuts, block-diagonal in the levels' 7
+    unknowns, with objective the sum of their ``t``.  The LP is separable, so
+    each block of its solution is that level's own optimum.  Returns each
+    level's block, or the error of a level whose LP has none: when the joint
+    LP fails, each block is solved alone to find the failing ones."""
+    res = linprog(
+        np.tile(_COST, len(blocks)),
+        A_ub=block_diag(*(np.concatenate([rows for rows, _ in cuts]) for cuts in blocks)),
+        b_ub=np.concatenate([rhs for cuts in blocks for _, rhs in cuts]),
+        bounds=(None, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": _LP_TOL},
+    )
+    if res.success:
+        return np.split(res.x, len(blocks))
+    if len(blocks) > 1:
+        return [_solve_blocks([cuts], [ell])[0] for cuts, ell in zip(blocks, levels)]
+    if res.status == 2:  # no cubic beats p = 1, the zero weights
+        return [UnstableLevelError(levels[0], (0j, 0j, 0j), 1.0, 1.0)]
+    return [RuntimeError(f"weight LP failed on level {levels[0]}: {res.message}")]
+
+
+def _certify(a: np.ndarray, t: Triangle, hf_hull: np.ndarray, level: int):
+    """The weights of the cubic ``1 + a1 z + a2 z^2 + a3 z^3``, with their
+    cubic's exact maxima, or the level's error if it is not stable."""
+    w = np.zeros(3, dtype=complex)
+    roots = np.roots(a[::-1].tolist() + [1.0])  # the degree drops when a3 = 0
+    w[: roots.size] = 1.0 / roots
+    # np.poly(w) lists (1, -e1, e2, -e3), the ascending coefficients of the
+    # weights' own cubic prod(1 - wi z)
+    stability = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), t.vertices))
+    smoothing = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), hf_hull))
+    if stability > 1.0 + 1e-8:
+        return UnstableLevelError(level, tuple(w), stability, smoothing)
+    return SmootherWeights(*(complex(v) for v in w), stability, smoothing)
+
+
+def _optimize_levels(regions: dict) -> dict:
+    """:func:`optimize_weights` for every level of ``regions``, a dict of
+    level -> (triangle, high-frequency hull), in one cut loop.
+
+    Each round solves one LP over the levels that still need cuts
+    (:func:`_solve_blocks`); a level leaves the loop when its cubic needs no
+    cut, after :data:`_MAX_ROUNDS` rounds, or when its LP fails.  Every level
+    runs to its end; then the lowest failing level's error is raised, so the
+    joint design names the level a design of each level alone would.
+    Returns level -> weights.
+    """
+    cuts = {ell: _start_cuts(*region) for ell, region in regions.items()}
+    coeffs, out = {}, {}
+    active = list(regions)
+    for _ in range(_MAX_ROUNDS):
+        if not active:
+            break
+        still = []
+        for ell, x in zip(active, _solve_blocks([cuts[ell] for ell in active], active)):
+            if isinstance(x, Exception):
+                out[ell] = x
+                continue
+            coeffs[ell] = x[0:6:2] + 1j * x[1:6:2]
+            new = _new_cuts(coeffs[ell], x[6], *regions[ell])
+            if new:
+                cuts[ell] += new
+                still.append(ell)
+        active = still
+    for ell, a in coeffs.items():
+        if ell not in out:
+            out[ell] = _certify(a, *regions[ell], ell)
+    failed = [ell for ell, outcome in out.items() if isinstance(outcome, Exception)]
+    if failed:
+        raise out[min(failed)]
+    return out
+
+
 def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> SmootherWeights:
     """Weights whose cubic has the least max |p| on the high-frequency hull
     boundary subject to |p| <= 1 on the triangle boundary, from an LP.
@@ -502,85 +618,80 @@ def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> Smooth
     finds the boundary maxima of ``|p|`` exactly, edge by edge
     (:func:`_boundary_critical_points`), and cuts with ``phi = arg p(z)``
     wherever |p| > 1 on the triangle or ``|p| > t (1 + 1e-3) + 1e-9`` on the
-    hull.  As ``t`` is a lower bound, the smoothing factor is within 0.1% of
-    the optimum over the whole boundary.
+    hull (Kelley's cutting-plane method).  As ``t`` is a lower bound, the
+    smoothing factor is within 0.1% of the optimum over the whole boundary.
 
     The weights are the cubic's reciprocal roots, and the certificate is
     their cubic's exact maximum on each edge.  Raises
     :class:`UnstableLevelError` when the LP is infeasible or the certified
-    stability exceeds 1 + 1e-8.
+    stability exceeds 1 + 1e-8.  This is the one-level case of the loop that
+    :func:`design_levels` runs over every level.
     """
     hf_hull = np.asarray(hf_hull, dtype=complex)
     if hf_hull.size == 0:
         raise ValueError("high-frequency hull must be nonempty")
-    tri_v = t.vertices
-    limit = 1.0 - _LP_MARGIN
-
-    phi0 = 2.0 * np.pi * np.arange(_START_DIRECTIONS) / _START_DIRECTIONS
-    blocks = [
-        _cut_rows(np.repeat(tri_v, phi0.size), np.tile(phi0, tri_v.size), 0.0, limit),
-        _cut_rows(np.repeat(hf_hull, phi0.size), np.tile(phi0, hf_hull.size), -1.0, 0.0),
-    ]
-    cost = np.zeros(7)
-    cost[6] = 1.0
-    for _ in range(_MAX_ROUNDS):
-        res = linprog(
-            cost,
-            A_ub=np.concatenate([b[0] for b in blocks]),
-            b_ub=np.concatenate([b[1] for b in blocks]),
-            bounds=[(None, None)] * 7,
-            method="highs",
-            options={"primal_feasibility_tolerance": _LP_TOL},
-        )
-        if res.status == 2:  # no cubic beats p = 1, the zero weights
-            raise UnstableLevelError(level, (0j, 0j, 0j), 1.0, 1.0)
-        if not res.success:
-            raise RuntimeError(f"weight LP failed on level {level}: {res.message}")
-        a = res.x[0:6:2] + 1j * res.x[1:6:2]
-        coeffs = np.concatenate(([1.0], a))
-        z_tri = _boundary_critical_points(coeffs, tri_v)
-        z_hf = _boundary_critical_points(coeffs, hf_hull)
-        p_tri = 1.0 + z_tri * (a[0] + z_tri * (a[1] + z_tri * a[2]))
-        p_hf = 1.0 + z_hf * (a[0] + z_hf * (a[1] + z_hf * a[2]))
-        bad_tri = np.abs(p_tri) > 1.0
-        bad_hf = np.abs(p_hf) > res.x[6] * (1.0 + _HF_GAP) + _HF_SLACK
-        if not (bad_tri.any() or bad_hf.any()):
-            break
-        blocks.append(_cut_rows(z_tri[bad_tri], np.angle(p_tri[bad_tri]), 0.0, limit))
-        blocks.append(_cut_rows(z_hf[bad_hf], np.angle(p_hf[bad_hf]), -1.0, 0.0))
-
-    w = np.zeros(3, dtype=complex)
-    roots = np.roots(a[::-1].tolist() + [1.0])  # the degree drops when a3 = 0
-    w[: roots.size] = 1.0 / roots
-    # np.poly(w) lists (1, -e1, e2, -e3), the ascending coefficients of the
-    # weights' own cubic prod(1 - wi z)
-    stability = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), tri_v))
-    smoothing = poly_max_on_boundary(w, _boundary_critical_points(np.poly(w), hf_hull))
-    if stability > 1.0 + 1e-8:
-        raise UnstableLevelError(level, tuple(w), stability, smoothing)
-    return SmootherWeights(*(complex(v) for v in w), stability, smoothing)
+    return _optimize_levels({level: (t, hf_hull)})[level]
 
 
 # ---------------------------------------------------------------------------
 # per-level pipeline
 
 
-def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
-    """symbol rows -> hull -> triangle -> optimized weights for one level.
+def _check_cubic_finite(z: np.ndarray, level: int) -> None:
+    """Raise the level's :class:`UnstableLevelError` unless ``|z|^3`` is
+    finite at every point; the stability then refers to the zero weights."""
+    if not np.all(np.abs(z) <= _CUBE_MAX):
+        raise UnstableLevelError(level, (0j, 0j, 0j), 1.0, 1.0)
+
+
+def _level_region(op: StencilOperator, level: int) -> tuple[Triangle, np.ndarray]:
+    """symbol rows -> hull -> triangle: the grown triangle and the
+    high-frequency hull of one level.
 
     The hulls are fed each frozen pair's row ends only, for all samples and
     for the high-frequency ones: every pair's samples form one horizontal row,
     whose inner points :func:`convex_hull` drops anyway, so both hulls equal
     those of :func:`symbol_samples`, byte for byte, without its
     ``THETA_COUNT**2`` samples per pair.  The near-minimal triangle is grown
-    here by :data:`TRIANGLE_INFLATE` about its centroid before the weights
-    are designed on it.  ``level`` names the level in errors.
+    by :data:`TRIANGLE_INFLATE` about its centroid.  A level whose row ends
+    or triangle are too large for a finite cubic raises its
+    :class:`UnstableLevelError` before any arithmetic that could overflow.
     """
-    ends, hf_ends = _row_ends(_frozen_offsets(op))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        ends, hf_ends = _row_ends(_frozen_offsets(op))
+        _check_cubic_finite(ends, level)
     tri = _inflate(min_enclosing_triangle(convex_hull(ends)), TRIANGLE_INFLATE)
-    hf_hull = convex_hull(hf_ends)
-    weights = optimize_weights(tri, hf_hull, level=level)
-    return SpectralDesign(triangle=tri, weights=weights, hf_hull=hf_hull)
+    _check_cubic_finite(tri.vertices, level)
+    return tri, convex_hull(hf_ends)
+
+
+def _designs(ops: dict) -> dict:
+    """level -> design for a dict of level -> operator, levels ascending;
+    raises the lowest failing level's error."""
+    regions = {}
+    for ell, op in ops.items():
+        try:
+            regions[ell] = _level_region(op, ell)
+        except UnstableLevelError:
+            _optimize_levels(regions)  # raises first if a lower level fails
+            raise
+    weights = _optimize_levels(regions)
+    return {ell: SpectralDesign(t, weights[ell], hf_hull) for ell, (t, hf_hull) in regions.items()}
+
+
+def design_levels(ops: list) -> list:
+    """One :class:`SpectralDesign` per operator, level ``i`` being ``ops[i]``,
+    with every level's weights from one cut loop (:func:`_optimize_levels`):
+    each round is one LP over all levels that still need cuts.  Raises the
+    lowest unstable level's :class:`UnstableLevelError`."""
+    return list(_designs(dict(enumerate(ops))).values())
+
+
+def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
+    """The one-level case of :func:`design_levels`: triangle, high-frequency
+    hull and optimized weights of ``op``; ``level`` names the level in
+    errors."""
+    return _designs({level: op})[level]
 
 
 def jacobi_weights_for(design: SpectralDesign, op: StencilOperator) -> tuple[complex, complex, complex]:

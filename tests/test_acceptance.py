@@ -54,7 +54,8 @@ def test_criterion_1_triangle_containment_lower_half(designed_hierarchies):
     total_escapes = 0
     total_samples = 0
     for (k, sigma), hier in designed_hierarchies.items():
-        for level in hier.levels:
+        assert hier.levels[-1].design is None  # the coarsest level is solved by LU
+        for level in hier.levels[:-1]:
             tri = level.design.triangle
             worst_im = max(worst_im, float(np.max(tri.vertices.imag)))
             samples = symbol_samples(level.op)
@@ -74,7 +75,8 @@ def test_criterion_2_cubic_stability_all_levels(designed_hierarchies):
     worst_stability = 0.0
     worst_excess = -np.inf
     for hier in designed_hierarchies.values():
-        for level in hier.levels:
+        assert hier.levels[-1].design is None  # the coarsest level is solved by LU
+        for level in hier.levels[:-1]:
             w = level.design.weights
             worst_stability = max(worst_stability, w.achieved_stability)
             v = level.design.triangle.vertices
@@ -114,7 +116,8 @@ def test_criterion_4_gmres3_bounded_by_cubic(hier31_poly3):
     rng = np.random.default_rng(4)
     worst = -np.inf
     instances = 0
-    for level in hier31_poly3.levels:
+    assert hier31_poly3.levels[-1].jacobi_w is None  # the coarsest level is solved by LU
+    for level in hier31_poly3.levels[:-1]:
         op = level.op
         for _ in range(100):
             u = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)

@@ -488,28 +488,32 @@ class TestSweepCommand:
 
 
 class TestSpectrumCommand:
-    def test_row_counts_match_declared_samples(self, tmp_path):
+    def test_row_counts_match_declared_samples(self, tmp_path, capsys):
         out = tmp_path / "spec"
         assert main(["spectrum", "--n", "31", "--k", "20", "--out-dir", str(out)]) == 0
         tri_rows = read_rows(out / "spectrum_triangles.csv")
         sample_rows = read_rows(out / "spectrum_samples.csv")
-        levels = len(tri_rows) - 1
-        assert levels == 3  # 31 -> 15 -> 7
 
         from helmgrid.problems import setup_problem
         from helmgrid.spectrum import symbol_samples
 
         problem = setup_problem(ProblemConfig(n=31, k=ConstantK(20.0)))
+        assert problem.hierarchy.depth == 3  # 31 -> 15 -> 7
+        # one triangle row per smoothing level; the coarsest is solved by LU
+        assert len(tri_rows) - 1 == problem.hierarchy.depth - 1
         declared = sum(
             symbol_samples(lv.op).points.size
             for lv in problem.hierarchy.levels
         )
         assert len(sample_rows) - 1 == declared
+        assert capsys.readouterr().out == f"spectrum: 3 levels, 2 designed, {declared} samples\n"
 
     def test_triangle_vertices_lower_half(self, tmp_path):
         out = tmp_path / "spec"
         main(["spectrum", "--n", "15", "--k", "10", "--out-dir", str(out)])
-        for row in read_rows(out / "spectrum_triangles.csv")[1:]:
+        rows = read_rows(out / "spectrum_triangles.csv")[1:]
+        assert len(rows) == 1  # 15 -> 7, and the 7 x 7 level is solved by LU
+        for row in rows:
             for col in (2, 4, 6):  # v1_im, v2_im, v3_im
                 assert float(row[col]) <= 1e-12
 

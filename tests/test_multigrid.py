@@ -64,8 +64,29 @@ class TestCoarsening:
         np.testing.assert_array_equal(fc.values, f.values[1::2, 1::2])
 
     def test_triangles_lower_half_across_hierarchy(self, hier31_poly3):
-        for level in hier31_poly3.levels:
+        assert hier31_poly3.levels[-1].design is None
+        for level in hier31_poly3.levels[:-1]:
             assert np.max(level.design.triangle.vertices.imag) <= 1e-12
+
+    def test_coarsest_level_gets_no_design(self, hier31_poly3):
+        # dense LU solves the coarsest level and never smooths it
+        coarsest = hier31_poly3.levels[-1]
+        assert coarsest.design is None and coarsest.jacobi_w is None
+        for level in hier31_poly3.levels[:-1]:
+            assert level.design is not None and len(level.jacobi_w) == 3
+
+    def test_wedge_designs_only_the_smoothed_levels(self):
+        # WedgeK(40, 60, 80) leaves no stable cubic on the coarsest of the 5
+        # levels, which is not smoothed; the four smoothed ones are certified
+        # and the poly3 solve converges
+        config = ProblemConfig(n=127, k=WedgeK(40.0, 60.0, 80.0), sigma_max=1.0,
+                               smoother="poly3", rhs="point", seed=0)
+        levels = setup_problem(config).hierarchy.levels
+        assert len(levels) == 5 and levels[-1].design is None
+        for level in levels[:-1]:
+            assert level.design.weights.achieved_stability <= 1.0 + 1e-8
+        _, report, _ = solve(config)
+        assert report.converged
 
     def test_level_cap_bounded_by_dense_cap_alone(self):
         # 131 -> 65 -> 32 stops at an even side within the dense LU cap;

@@ -57,6 +57,8 @@ def test_benchmark_reads_resolve(hier31_poly3, hier31_gmres):
     assert callable(helmgrid.solve)
     for level in hier31_poly3.levels:
         assert level.shape == level.op.shape
+    assert hier31_poly3.levels[-1].design is None
+    for level in hier31_poly3.levels[:-1]:
         assert isinstance(level.design.weights.achieved_stability, float)
         assert isinstance(level.design.weights.achieved_smoothing, float)
     level = hier31_poly3.levels[0]

@@ -22,14 +22,17 @@ from helmgrid import (
 )
 from helmgrid.grid import WavenumberField, build_wavenumber_field
 from helmgrid.multigrid import build_hierarchy
+import helmgrid.spectrum
 from helmgrid.spectrum import (
     TRIANGLE_DIRECTIONS,
     SmootherWeights,
+    UnstableLevelError,
     _boundary_critical_points,
     _cut_rows,
     _edges,
     _frozen_offsets,
     _inflate,
+    _optimize_levels,
     _row_ends,
     _support_lines,
     _triangle_candidates,
@@ -500,7 +503,8 @@ class TestOptimizeWeights:
         # maximum modulus: |p| at 10000 random interior points is below the
         # certified boundary maximum
         rng = np.random.default_rng(7)
-        for level in hier31_poly3.levels:
+        assert hier31_poly3.levels[-1].design is None
+        for level in hier31_poly3.levels[:-1]:
             w = level.design.weights
             v = level.design.triangle.vertices
             r1, r2 = rng.random(10000), rng.random(10000)
@@ -579,7 +583,9 @@ class TestDesignQuality:
         # certificate is never below a dense sampling of the same cubic
         config = ProblemConfig(n=n, k=ConstantK(k), sigma_max=sigma_max, precond=precond,
                                smoother="poly3")
-        for level in setup_problem(config).hierarchy.levels:
+        levels = setup_problem(config).hierarchy.levels
+        assert levels[-1].design is None
+        for level in levels[:-1]:
             d, w = level.design, level.design.weights
             _, ref_stability, ref_smoothing = reference_optimize_weights(d.triangle, d.hf_hull)
             assert ref_stability <= 1.0 + 1e-8
@@ -607,9 +613,77 @@ class TestPolyMax:
         assert abs(fine - coarse) <= 1e-3 * fine
 
 
+@pytest.fixture(scope="module")
+def k80_levels_and_lp_calls():
+    """The n = 127, k = 80 poly3 levels and the number of LPs their set-up solved."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helmgrid.spectrum, "linprog", counted)
+        config = ProblemConfig(n=127, k=ConstantK(80.0), smoother="poly3")
+        levels = setup_problem(config).hierarchy.levels
+    return levels, len(calls)
+
+
+# on the thin segment [0.5, 2] a stable cubic exists; on a triangle with a
+# vertex at 0 none does, as every cubic with p(0) = 1 has |p(0)| = 1
+STABLE = (Triangle(0.5 + 0j, 1.25 - 1.5e-6j, 2.0 + 0j), np.array([0.5, 2.0], dtype=complex))
+AT_ZERO = (Triangle(0j, 1.0 - 1j, 2.0 + 0j), np.array([0.5, 1.5], dtype=complex))
+
+
+class TestJointDesign:
+    def test_one_lp_per_round_for_all_levels(self, k80_levels_and_lp_calls):
+        # one LP per round over every level that still needs cuts: 11 rounds
+        # at n = 127, where a loop of one design per level solves 42 LPs
+        levels, lp_calls = k80_levels_and_lp_calls
+        assert len(levels) == 5
+        assert lp_calls <= 12
+
+    def test_each_level_is_as_good_as_its_own_design(self, k80_levels_and_lp_calls):
+        # the joint LP is separable, so each level's block is its own optimum:
+        # certified stable, and within the cut loop's 0.1% of the one-level design
+        levels, _ = k80_levels_and_lp_calls
+        assert levels[-1].design is None and levels[-1].jacobi_w is None
+        for ell, level in enumerate(levels[:-1]):
+            d = level.design
+            alone = optimize_weights(d.triangle, d.hf_hull, level=ell)
+            assert d.weights.achieved_stability <= 1.0 + 1e-8
+            assert d.weights.achieved_smoothing <= (1.0 + 1e-3) * alone.achieved_smoothing + 1e-9
+
+    @pytest.mark.parametrize("regions, failing", [
+        ((STABLE, AT_ZERO, STABLE), 1),
+        ((AT_ZERO, STABLE), 0),
+        ((STABLE, AT_ZERO, AT_ZERO), 1),
+    ])
+    def test_names_the_lowest_failing_level(self, regions, failing):
+        # a failing level leaves the loop, the others run on, and the lowest
+        # failing level's error is the one a design of each level alone raises
+        with pytest.raises(UnstableLevelError, match=f"^unstable level {failing}:") as joint:
+            _optimize_levels(dict(enumerate(regions)))
+        with pytest.raises(UnstableLevelError) as alone:
+            optimize_weights(*regions[failing], level=failing)
+        assert str(joint.value) == str(alone.value)
+
+
 class TestDesignPipeline:
+    @pytest.mark.parametrize("sigma_max", [1e60, 1e100, 1e150])
+    def test_layer_too_large_for_a_finite_cubic_names_its_level(self, sigma_max):
+        # the layer's samples reach |z| past the cube root of the largest
+        # float; the design reports level 0 unstable before its arithmetic
+        # overflows (warnings are errors here)
+        config = ProblemConfig(n=15, k=ConstantK(10.0), sigma_max=sigma_max, precond="csl",
+                               smoother="poly3")
+        with pytest.raises(UnstableLevelError, match="^unstable level 0:") as err:
+            setup_problem(config)
+        assert err.value.level == 0
+
     def test_certified_quantities(self, hier31_poly3):
-        for level in hier31_poly3.levels:
+        assert hier31_poly3.levels[-1].design is None
+        for level in hier31_poly3.levels[:-1]:
             d = level.design
             assert d.weights.achieved_stability <= 1.0 + 1e-8
             ss = symbol_samples(level.op)
@@ -620,7 +694,8 @@ class TestDesignPipeline:
         # damped Jacobi divides by the diagonal the cubic is certified in, so
         # every level, stretched ones included, runs the design weights as is
         for hier in (hier31_poly3, hier31_stretched_poly3):
-            for level in hier.levels:
+            assert hier.levels[-1].design is None and hier.levels[-1].jacobi_w is None
+            for level in hier.levels[:-1]:
                 want = level.design.weights.w
                 got = np.array(level.jacobi_w)
                 assert got.dtype == want.dtype
@@ -632,7 +707,9 @@ class TestDesignPipeline:
         # contain that level's own samples and certify the weights that run
         config = ProblemConfig(n=63, k=ConstantK(20.0), sigma_max=6.0, precond="csl",
                                smoother="poly3")
-        for level in setup_problem(config).hierarchy.levels:
+        levels = setup_problem(config).hierarchy.levels
+        assert levels[-1].design is None
+        for level in levels[:-1]:
             d = level.design
             ss = symbol_samples(level.op)
             assert np.all(d.triangle.contains(ss.points, slack=1e-10))

@@ -5,7 +5,9 @@
 writes one sha256 digest per key to ``OUT.json``:
 
 - ``design/...``: every level's triangle vertices, weights, achieved stability
-  and smoothing, high-frequency hull and damped-Jacobi weights, on 25 poly3
+  and smoothing, high-frequency hull and damped-Jacobi weights, or the fixed
+  marker ``no design`` for a level that has none (the coarsest level, which
+  dense LU solves, in checkouts that skip its design), on 25 poly3
   set-ups (k = 10, 20, 40, 80 at 10 points per wavelength, sigma_max 0 and 1,
   ``grid`` and ``csl``; n = 31, k = 20 at sigma_max 2 and 3; four wedge
   set-ups), or the ``UnstableLevelError`` message where the set-up raises;
@@ -18,8 +20,9 @@ writes one sha256 digest per key to ``OUT.json``:
 
 It uses public names only (``ProblemConfig``, ``setup_problem``, ``solve``,
 the ``spectrum`` command and the design records), so one copy of the script
-fingerprints an older checkout too: run it once with each checkout's ``src``
-on ``PYTHONPATH`` and compare the two files key by key.
+fingerprints an older checkout too, whether or not it designs the coarsest
+level: run it once with each checkout's ``src`` on ``PYTHONPATH`` and compare
+the two files key by key.
 Digests are equal only at equal BLAS thread counts: set
 ``OPENBLAS_NUM_THREADS=1``.  Takes about 15 seconds on one core.
 """
@@ -77,6 +80,9 @@ def design_digest(config: ProblemConfig) -> str:
     parts = []
     for level in levels:
         d = level.design
+        if d is None:
+            parts.append(b"no design")
+            continue
         parts += [
             d.triangle.vertices.tobytes(),
             d.weights.w.tobytes(),
