@@ -46,7 +46,6 @@ from .spectrum import (
     design_for_operator,
     design_levels,
     min_enclosing_triangle,
-    optimize_weights,
     poly_max_on_boundary,
     symbol_samples,
 )

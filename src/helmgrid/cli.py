@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import typing
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -216,6 +216,8 @@ def run_sweep(k_list, ppw: float, config: ProblemConfig, out_dir: Path) -> int:
 
 def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     """Every level's symbol samples, and a triangle row per designed level."""
+    if config.smoother != "poly3":
+        raise ValueError(f"smoother: spectrum writes the poly3 designs, got {config.smoother!r}")
     problem = setup_problem(config)
     sample_rows = []
     triangle_rows = []
@@ -284,6 +286,8 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     try:
         file_values = read_config_file(args.config) if args.config else {}
+        if args.command == "spectrum":  # the cubic's designs, unless a smoother is given
+            file_values.setdefault("smoother", "poly3")
         config = config_from_sources(file_values, args)
         if args.command == "solve":
             return run_solve(config, out_dir, diagnostics=args.diagnostics,
@@ -291,7 +295,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(parse_positive("k_list", args.k_list), parse("ppw", float, args.ppw),
                              config, out_dir)
-        config = replace(config, smoother="poly3")  # spectrum: the cubic's designs
         return run_spectrum(config, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

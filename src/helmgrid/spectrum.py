@@ -11,7 +11,7 @@ high-frequency part of the spectrum.
 In its coefficients the cubic's design is convex: a complex Chebyshev
 problem solved as a cutting-plane linear program (Streit & Nuttall, 1982),
 with |p| <= 1 - 1e-6 on triangle cuts and the high-frequency maximum within
-0.1% of the optimum on the hull's boundary (see :func:`optimize_weights`).
+0.1% of the optimum on the hull's boundary (see :func:`_optimize_levels`).
 Both maxima are exact per edge: along an edge ``|p|^2`` is a real sextic, so
 its maxima are roots of a quintic, and by the maximum-modulus principle the
 triangle's edges certify the whole triangle.  One cut loop designs every
@@ -64,7 +64,6 @@ __all__ = [
     "symbol_samples",
     "convex_hull",
     "min_enclosing_triangle",
-    "optimize_weights",
     "poly_max_on_boundary",
     "design_levels",
     "design_for_operator",
@@ -531,12 +530,12 @@ def _new_cuts(a: np.ndarray, bound: float, t: Triangle, hf_hull: np.ndarray) -> 
     ]
 
 
-def _solve_blocks(blocks: list, levels: list) -> list:
+def _solve_blocks(blocks: list) -> list:
     """One LP over every level's cuts, block-diagonal in the levels' 7
     unknowns, with objective the sum of their ``t``.  The LP is separable, so
     each block of its solution is that level's own optimum.  Returns each
-    level's block, or the error of a level whose LP has none: when the joint
-    LP fails, each block is solved alone to find the failing ones."""
+    level's block, or its failed ``linprog`` result: when the joint LP
+    fails, each block is solved alone to find the failing ones."""
     res = linprog(
         np.tile(_COST, len(blocks)),
         A_ub=block_diag(*(np.concatenate([rows for rows, _ in cuts]) for cuts in blocks)),
@@ -548,10 +547,13 @@ def _solve_blocks(blocks: list, levels: list) -> list:
     if res.success:
         return np.split(res.x, len(blocks))
     if len(blocks) > 1:
-        return [_solve_blocks([cuts], [ell])[0] for cuts, ell in zip(blocks, levels)]
-    if res.status == 2:  # no cubic beats p = 1, the zero weights
-        return [UnstableLevelError(levels[0], (0j, 0j, 0j), 1.0, 1.0)]
-    return [RuntimeError(f"weight LP failed on level {levels[0]}: {res.message}")]
+        return [_solve_blocks([cuts])[0] for cuts in blocks]
+    return [res]
+
+
+def _unstable_at_zero_weights(level: int) -> UnstableLevelError:
+    """The level's error when no cubic beats the zero weights, ``p = 1``."""
+    return UnstableLevelError(level, (0j, 0j, 0j), 1.0, 1.0)
 
 
 def _certify(a: np.ndarray, t: Triangle, hf_hull: np.ndarray, level: int):
@@ -570,26 +572,43 @@ def _certify(a: np.ndarray, t: Triangle, hf_hull: np.ndarray, level: int):
 
 
 def _optimize_levels(regions: dict) -> dict:
-    """:func:`optimize_weights` for every level of ``regions``, a dict of
-    level -> (triangle, high-frequency hull), in one cut loop.
+    """For each level of ``regions`` (level -> (triangle, high-frequency
+    hull), or the level's :class:`UnstableLevelError`), the weights whose
+    cubic has the least max |p| on the hull's boundary subject to |p| <= 1
+    on the triangle's, from one cut loop of LPs.
+
+    With ``p(z) = 1 + a1 z + a2 z^2 + a3 z^3``, ``Re(e^{-i phi} p(z)) <= |p(z)|``
+    is linear in ``(Re ak, Im ak)``, so each point and direction gives a cut:
+    ``<= t`` on hull points (the objective is ``t``) and ``<= 1 - 1e-6`` on
+    triangle points, a margin above the LP's feasibility tolerance.  From
+    cuts at the vertices in 8 directions, each round solves the LP (HiGHS),
+    finds the boundary maxima of ``|p|`` exactly, edge by edge
+    (:func:`_boundary_critical_points`), and cuts with ``phi = arg p(z)``
+    wherever |p| > 1 on the triangle or ``|p| > t (1 + 1e-3) + 1e-9`` on the
+    hull (Kelley's cutting-plane method).  As ``t`` is a lower bound, the
+    smoothing factor is within 0.1% of the optimum over the whole boundary.
+    The weights are the cubic's reciprocal roots, certified by their cubic's
+    exact maximum on each edge.
 
     Each round solves one LP over the levels that still need cuts
     (:func:`_solve_blocks`); a level leaves the loop when its cubic needs no
     cut, after :data:`_MAX_ROUNDS` rounds, or when its LP fails.  Every level
-    runs to its end; then the lowest failing level's error is raised, so the
-    joint design names the level a design of each level alone would.
+    runs to its end; then the lowest failing level's error is raised, whether
+    its region, its LP or its certified stability (above 1 + 1e-8) failed.
     Returns level -> weights.
     """
-    cuts = {ell: _start_cuts(*region) for ell, region in regions.items()}
-    coeffs, out = {}, {}
-    active = list(regions)
+    out = {ell: r for ell, r in regions.items() if isinstance(r, UnstableLevelError)}
+    active = [ell for ell in regions if ell not in out]
+    cuts = {ell: _start_cuts(*regions[ell]) for ell in active}
+    coeffs = {}
     for _ in range(_MAX_ROUNDS):
         if not active:
             break
         still = []
-        for ell, x in zip(active, _solve_blocks([cuts[ell] for ell in active], active)):
-            if isinstance(x, Exception):
-                out[ell] = x
+        for ell, x in zip(active, _solve_blocks([cuts[ell] for ell in active])):
+            if not isinstance(x, np.ndarray):  # the level's failed LP result
+                out[ell] = (_unstable_at_zero_weights(ell) if x.status == 2  # infeasible
+                            else RuntimeError(f"weight LP failed on level {ell}: {x.message}"))
                 continue
             coeffs[ell] = x[0:6:2] + 1j * x[1:6:2]
             new = _new_cuts(coeffs[ell], x[6], *regions[ell])
@@ -606,45 +625,11 @@ def _optimize_levels(regions: dict) -> dict:
     return out
 
 
-def optimize_weights(t: Triangle, hf_hull: np.ndarray, level: int = 0) -> SmootherWeights:
-    """Weights whose cubic has the least max |p| on the high-frequency hull
-    boundary subject to |p| <= 1 on the triangle boundary, from an LP.
-
-    With ``p(z) = 1 + a1 z + a2 z^2 + a3 z^3``, ``Re(e^{-i phi} p(z)) <= |p(z)|``
-    is linear in ``(Re ak, Im ak)``, so each point and direction gives a cut:
-    ``<= t`` on hull points (the objective is ``t``) and ``<= 1 - 1e-6`` on
-    triangle points, a margin above the LP's feasibility tolerance.  From
-    cuts at the vertices in 8 directions, each round solves the LP (HiGHS),
-    finds the boundary maxima of ``|p|`` exactly, edge by edge
-    (:func:`_boundary_critical_points`), and cuts with ``phi = arg p(z)``
-    wherever |p| > 1 on the triangle or ``|p| > t (1 + 1e-3) + 1e-9`` on the
-    hull (Kelley's cutting-plane method).  As ``t`` is a lower bound, the
-    smoothing factor is within 0.1% of the optimum over the whole boundary.
-
-    The weights are the cubic's reciprocal roots, and the certificate is
-    their cubic's exact maximum on each edge.  Raises
-    :class:`UnstableLevelError` when the LP is infeasible or the certified
-    stability exceeds 1 + 1e-8.  This is the one-level case of the loop that
-    :func:`design_levels` runs over every level.
-    """
-    hf_hull = np.asarray(hf_hull, dtype=complex)
-    if hf_hull.size == 0:
-        raise ValueError("high-frequency hull must be nonempty")
-    return _optimize_levels({level: (t, hf_hull)})[level]
-
-
 # ---------------------------------------------------------------------------
 # per-level pipeline
 
 
-def _check_cubic_finite(z: np.ndarray, level: int) -> None:
-    """Raise the level's :class:`UnstableLevelError` unless ``|z|^3`` is
-    finite at every point; the stability then refers to the zero weights."""
-    if not np.all(np.abs(z) <= _CUBE_MAX):
-        raise UnstableLevelError(level, (0j, 0j, 0j), 1.0, 1.0)
-
-
-def _level_region(op: StencilOperator, level: int) -> tuple[Triangle, np.ndarray]:
+def _level_region(op: StencilOperator, level: int) -> tuple[Triangle, np.ndarray] | UnstableLevelError:
     """symbol rows -> hull -> triangle: the grown triangle and the
     high-frequency hull of one level.
 
@@ -654,29 +639,17 @@ def _level_region(op: StencilOperator, level: int) -> tuple[Triangle, np.ndarray
     those of :func:`symbol_samples`, byte for byte, without its
     ``THETA_COUNT**2`` samples per pair.  The near-minimal triangle is grown
     by :data:`TRIANGLE_INFLATE` about its centroid.  A level whose row ends
-    or triangle are too large for a finite cubic raises its
+    or triangle are too large for a finite cubic returns its
     :class:`UnstableLevelError` before any arithmetic that could overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
         ends, hf_ends = _row_ends(_frozen_offsets(op))
-        _check_cubic_finite(ends, level)
+        if not np.all(np.abs(ends) <= _CUBE_MAX):
+            return _unstable_at_zero_weights(level)
     tri = _inflate(min_enclosing_triangle(convex_hull(ends)), TRIANGLE_INFLATE)
-    _check_cubic_finite(tri.vertices, level)
+    if not np.all(np.abs(tri.vertices) <= _CUBE_MAX):
+        return _unstable_at_zero_weights(level)
     return tri, convex_hull(hf_ends)
-
-
-def _designs(ops: dict) -> dict:
-    """level -> design for a dict of level -> operator, levels ascending;
-    raises the lowest failing level's error."""
-    regions = {}
-    for ell, op in ops.items():
-        try:
-            regions[ell] = _level_region(op, ell)
-        except UnstableLevelError:
-            _optimize_levels(regions)  # raises first if a lower level fails
-            raise
-    weights = _optimize_levels(regions)
-    return {ell: SpectralDesign(t, weights[ell], hf_hull) for ell, (t, hf_hull) in regions.items()}
 
 
 def design_levels(ops: list) -> list:
@@ -684,14 +657,19 @@ def design_levels(ops: list) -> list:
     with every level's weights from one cut loop (:func:`_optimize_levels`):
     each round is one LP over all levels that still need cuts.  Raises the
     lowest unstable level's :class:`UnstableLevelError`."""
-    return list(_designs(dict(enumerate(ops))).values())
+    regions = {}
+    for ell, op in enumerate(ops):
+        regions[ell] = _level_region(op, ell)
+        if isinstance(regions[ell], UnstableLevelError):
+            break
+    weights = _optimize_levels(regions)
+    return [SpectralDesign(t, weights[ell], hf_hull) for ell, (t, hf_hull) in regions.items()]
 
 
-def design_for_operator(op: StencilOperator, level: int = 0) -> SpectralDesign:
+def design_for_operator(op: StencilOperator) -> SpectralDesign:
     """The one-level case of :func:`design_levels`: triangle, high-frequency
-    hull and optimized weights of ``op``; ``level`` names the level in
-    errors."""
-    return _designs({level: op})[level]
+    hull and optimized weights of ``op``, named level 0 in errors."""
+    return design_levels([op])[0]
 
 
 def jacobi_weights_for(design: SpectralDesign, op: StencilOperator) -> tuple[complex, complex, complex]:

@@ -530,3 +530,22 @@ class TestSpectrumCommand:
         assert report["config"]["k"]["kind"] == "wedge"
         assert report["config"]["smoother"] == "poly3"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_explicit_gmres3_smoother_is_rejected(self, tmp_path, capsys, source):
+        # spectrum writes the cubic's designs; a smoother that has none is an
+        # input error naming the field, not ignored, and makes no directory
+        out = tmp_path / "spec"
+        argv = ["spectrum", "--n", "15", "--k", "10", "--out-dir", str(out)]
+        if source == "flag":
+            argv += ["--smoother", "gmres3"]
+        else:
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text("smoother = gmres3\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: smoother: ")
+        assert not out.exists()
+        # an explicit poly3 is the default's design
+        assert main(argv[:7] + ["--smoother", "poly3"]) == 0
+        assert len(read_rows(out / "spectrum_triangles.csv")) == 2

@@ -15,8 +15,8 @@ from helmgrid import (
     WedgeK,
     build_stretched_grid,
     convex_hull,
+    design_for_operator,
     min_enclosing_triangle,
-    optimize_weights,
     poly_max_on_boundary,
     symbol_samples,
 )
@@ -32,6 +32,7 @@ from helmgrid.spectrum import (
     _edges,
     _frozen_offsets,
     _inflate,
+    _level_region,
     _optimize_levels,
     _row_ends,
     _support_lines,
@@ -476,7 +477,7 @@ class TestOptimizeWeights:
         seg = np.linspace(0.5, 2.0, 64).astype(complex)
         thick = np.concatenate([seg + 1e-6j, seg - 1e-6j])
         tri = _inflate(min_enclosing_triangle(convex_hull(thick)), 1e-9)
-        w = optimize_weights(tri, hf_hull=convex_hull(thick))
+        w = _optimize_levels({0: (tri, convex_hull(thick))})[0]
         cheb_opt = 27.0 / 365.0
         assert w.achieved_stability <= 1.0 + 1e-8
         assert w.achieved_smoothing <= 0.12
@@ -489,7 +490,7 @@ class TestOptimizeWeights:
         # Chebyshev polynomial, whose max is 1/T3((b+a)/(b-a))
         b = a * ratio
         tri = Triangle(complex(a), (a + b) / 2 - 1e-6j * (b - a), complex(b))
-        w = optimize_weights(tri, np.array([a, b], dtype=complex))
+        w = _optimize_levels({0: (tri, np.array([a, b], dtype=complex))})[0]
         x = (b + a) / (b - a)
         assert w.achieved_stability <= 1.0 + 1e-8
         assert w.achieved_smoothing <= 1.01 / (4 * x**3 - 3 * x)
@@ -512,11 +513,6 @@ class TestOptimizeWeights:
             pts = (1 - s1) * v[0] + s1 * (1 - r2) * v[1] + s1 * r2 * v[2]
             interior_max = poly_max_on_boundary(w.w, pts)
             assert interior_max <= w.achieved_stability + 1e-9
-
-    def test_empty_hf_hull_rejected(self):
-        tri = Triangle(0 - 0.1j, 2 - 0.1j, 1 - 1j)
-        with pytest.raises(ValueError, match="nonempty"):
-            optimize_weights(tri, np.array([]))
 
     def test_unstable_level_error_carries_best_found(self):
         from helmgrid.spectrum import UnstableLevelError
@@ -633,6 +629,9 @@ def k80_levels_and_lp_calls():
 # vertex at 0 none does, as every cubic with p(0) = 1 has |p(0)| = 1
 STABLE = (Triangle(0.5 + 0j, 1.25 - 1.5e-6j, 2.0 + 0j), np.array([0.5, 2.0], dtype=complex))
 AT_ZERO = (Triangle(0j, 1.0 - 1j, 2.0 + 0j), np.array([0.5, 1.5], dtype=complex))
+# a layer whose samples are too large for a finite cubic gives, as level 1,
+# that level's error in place of a region
+TOO_LARGE_AT_1 = _level_region(make_operator(15, 10.0, sigma_max=1e60, mode="precond_csl"), 1)
 
 
 class TestJointDesign:
@@ -650,7 +649,7 @@ class TestJointDesign:
         assert levels[-1].design is None and levels[-1].jacobi_w is None
         for ell, level in enumerate(levels[:-1]):
             d = level.design
-            alone = optimize_weights(d.triangle, d.hf_hull, level=ell)
+            alone = _optimize_levels({ell: (d.triangle, d.hf_hull)})[ell]
             assert d.weights.achieved_stability <= 1.0 + 1e-8
             assert d.weights.achieved_smoothing <= (1.0 + 1e-3) * alone.achieved_smoothing + 1e-9
 
@@ -658,15 +657,29 @@ class TestJointDesign:
         ((STABLE, AT_ZERO, STABLE), 1),
         ((AT_ZERO, STABLE), 0),
         ((STABLE, AT_ZERO, AT_ZERO), 1),
+        ((AT_ZERO, TOO_LARGE_AT_1), 0),
+        ((STABLE, TOO_LARGE_AT_1), 1),
     ])
     def test_names_the_lowest_failing_level(self, regions, failing):
         # a failing level leaves the loop, the others run on, and the lowest
-        # failing level's error is the one a design of each level alone raises
+        # failing level's error is raised, whether its region or its LP
+        # failed, with the text of a loop over that level alone
         with pytest.raises(UnstableLevelError, match=f"^unstable level {failing}:") as joint:
             _optimize_levels(dict(enumerate(regions)))
         with pytest.raises(UnstableLevelError) as alone:
-            optimize_weights(*regions[failing], level=failing)
+            _optimize_levels({failing: regions[failing]})
         assert str(joint.value) == str(alone.value)
+
+    def test_one_level_design_is_level_0_of_the_hierarchy(self):
+        # design_for_operator is design_levels on one operator: on a
+        # stretched level its design is byte for byte the hierarchy's
+        op = make_operator(31, 20.0, sigma_max=2.0)
+        want = build_hierarchy(op, smoother="poly3").levels[0].design
+        got = design_for_operator(op)
+        np.testing.assert_array_equal(got.triangle.vertices, want.triangle.vertices)
+        np.testing.assert_array_equal(got.weights.w, want.weights.w)
+        assert got.weights.achieved_stability == want.weights.achieved_stability
+        assert got.weights.achieved_smoothing == want.weights.achieved_smoothing
 
 
 class TestDesignPipeline:
