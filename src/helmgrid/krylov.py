@@ -1,14 +1,16 @@
-"""Flexible GMRES, whose restart cycle also serves as the GMRES(3) smoother.
+"""Flexible GMRES: the library's one Arnoldi process.
 
-One Arnoldi process lives here.  A restart cycle builds up to m flexible
-Arnoldi steps from a residual: modified Gram-Schmidt with one
-reorthogonalization pass, Givens rotations for the least-squares problem, and
-the preconditioned vectors stored so the preconditioner may change from step
-to step -- required when the multigrid smoother is itself GMRES.  FGMRES
-loops restarts over it; the GMRES(3) smoother is one three-step cycle from a
-zero correction with no preconditioner.  Residual norms come from the Givens
-recurrence, and each cycle ends on a verified true residual.  Vector work
-runs in place through one scratch vector (aliasing rule: ``_arnoldi_cycle``).
+A restart cycle builds up to m flexible Arnoldi steps from a residual:
+modified Gram-Schmidt with one reorthogonalization pass, Givens rotations for
+the least-squares problem, and the preconditioned vectors stored so the
+preconditioner may change from step to step -- required when the multigrid
+smoother is itself GMRES.  FGMRES loops restarts over it; with no
+preconditioner it is plain restarted GMRES (``solve_baseline``).  The GMRES(3)
+smoother minimizes over the same kind of Krylov space but does not run this
+process: it solves a 3-column least-squares problem in the monomial basis
+(``smoother``).  Residual norms come from the Givens recurrence, and each
+cycle ends on a verified true residual.  Vector work runs in place through
+one scratch vector (aliasing rule: ``_arnoldi_cycle``).
 """
 
 from __future__ import annotations

@@ -3,20 +3,32 @@
 The cubic smoother applies damped Jacobi with three different complex weights;
 its error propagation is the cubic ``p(Dinv A)``, with ``D`` the
 second-difference diagonal the cubic is certified in (``spectrum``).  The
-GMRES(3) smoother solves the defect equation ``A c = r0`` with a zero initial
-correction by one restart cycle of the outer solver's Arnoldi process
-(``krylov``), three steps long; it picks its own coefficients anew at every
-call, so it is not a fixed linear operator across calls.
+GMRES(3) smoother solves the defect equation ``A c = r0`` from a zero
+correction: it minimizes ``||r0 - A c||`` over ``c`` in the Krylov space
+``span(r0, A r0, A^2 r0)``, as three steps of GMRES do (Saad & Schultz 1986),
+but as a 3-column least-squares problem on the monomial basis
+``r0, A r0, A^2 r0, A^3 r0`` and its Gram matrix, in a few passes over
+memory (the s-step form of Hoemmen 2010), not by an Arnoldi process.  It
+picks its own coefficients anew at every call, so it is not a fixed linear
+operator across calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
+from scipy.linalg.lapack import zpotrf, zpotrs, ztrcon
 
-from .krylov import _arnoldi_cycle
 from .stencil import StencilOperator
 
 __all__ = ["damped_jacobi", "poly3_smooth", "gmres_smooth"]
+
+# Largest condition estimate of the column-scaled normal equations that the
+# Cholesky solve is trusted with; a worse block is solved by Householder QR.
+NORMAL_COND_MAX = 1e8
+# A Krylov column whose part orthogonal to the columns before it is at most
+# this fraction of its norm depends on them: the space is invariant there.
+BREAKDOWN = 1e-14
 
 
 def damped_jacobi(
@@ -57,11 +69,62 @@ def gmres_smooth(
 ) -> np.ndarray:
     """GMRES(3) on the defect equation from a zero correction.
 
-    One restart cycle of the FGMRES Arnoldi process (no preconditioner, no
-    stop target): returns ``u + c`` with ``c`` minimizing ``||r0 - A c||``
-    over the 3-step Krylov space, fewer steps on breakdown, and ``u`` when
-    ``r0 = 0``.  ``r``, when given, is the caller's ``r0 = b - A u`` and
-    saves the apply.
+    Returns ``u + c`` with ``c`` minimizing ``||r0 - A c||`` over
+    ``span(r0, A r0, A^2 r0)``, fewer columns when that space is invariant
+    sooner, and ``u`` when ``A r0 = 0`` (``r0 = 0`` included), where no
+    correction helps.  ``r``, when given, is the caller's ``r0 = b - A u``
+    and saves the apply.
+
+    The Krylov vectors ``K = [r0, A r0, A^2 r0, A^3 r0]`` come from three
+    applies and are kept as they come, not copied into one block: a 4 MB
+    block per call at n = 255 raised peak memory by 6 MB and was no faster
+    than the separate vectors.  Nine dot products give the part of their
+    Gram matrix ``conj(K) K^T`` that the column-scaled 3 x 3 normal equations
+    need; Cholesky solves those for the coefficients ``y``, unless they are
+    singular or worse conditioned than :data:`NORMAL_COND_MAX`, when
+    Householder QR of the block does.  Then ``c = y K[:3]``.
     """
     r0 = op.residual(b, u) if r is None else r
-    return _arnoldi_cycle(op.apply, None, u, r0, 3)[0]
+    krylov = [r0]
+    for _ in range(3):
+        krylov.append(op.apply(krylov[-1]))
+    gram = np.zeros((4, 4), dtype=complex)  # upper triangle, less the unused ||r0||^2
+    for i in range(4):
+        for j in range(max(i, 1), 4):
+            gram[i, j] = np.vdot(krylov[i], krylov[j])
+    if gram[1, 1] == 0.0:
+        return u.astype(complex)
+    y = _normal_equations(gram)
+    if y is None:
+        y = _householder_lstsq(np.stack([v.ravel() for v in krylov]))
+    out = u.astype(complex).ravel()
+    for yj, v in zip(y, krylov):
+        out = zaxpy(v.ravel(), out, a=yj)
+    return out.reshape(r0.shape)
+
+
+def _normal_equations(gram: np.ndarray) -> np.ndarray | None:
+    """The minimizing coefficients from the upper triangle of the Krylov
+    vectors' Gram matrix, by Cholesky of the column-scaled normal equations;
+    ``None`` when those are singular or their condition estimate, the square
+    of the factor's, exceeds :data:`NORMAL_COND_MAX`."""
+    d = 1.0 / np.sqrt(gram.diagonal()[1:].real)
+    factor, info = zpotrf(gram[1:, 1:] * np.multiply.outer(d, d))
+    if info != 0 or not ztrcon(factor)[0] ** 2 >= 1.0 / NORMAL_COND_MAX:
+        return None
+    return d * zpotrs(factor, d * gram[0, 1:].conj())[0]
+
+
+def _householder_lstsq(block: np.ndarray) -> np.ndarray:
+    """The minimizing coefficients by Householder QR of the Krylov vectors
+    as the rows of one block, ``K^T = Q R``: ``y`` minimizes
+    ``||R[:, 0] - R[:, 1:] y||``, GMRES's Hessenberg problem in the monomial
+    basis.  At the first ``j`` whose ``R[j, j]`` is negligible against its
+    column, ``A^j r0`` depends on the vectors before it and the space is
+    invariant: ``y`` keeps ``j`` coefficients, as Arnoldi's breakdown takes
+    fewer steps."""
+    R = np.linalg.qr(block.T, mode="r")
+    m = next((j for j in (1, 2) if abs(R[j, j]) <= BREAKDOWN * np.linalg.norm(R[: j + 1, j])), 3)
+    W = R[: m + 1, 1 : m + 1]
+    scale = np.linalg.norm(W, axis=0)
+    return np.linalg.lstsq(W / scale, R[: m + 1, 0])[0] / scale

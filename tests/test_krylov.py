@@ -349,7 +349,7 @@ class TestArnoldiCycle:
         assert abs(estimates[1] - want) <= 1e-4 * want
 
     def test_matches_reference_on_stencil_fields(self):
-        # the smoother's call on 2-D fields past numpy's 256 KiB threshold
+        # a cycle on 2-D fields, as FGMRES runs, past numpy's 256 KiB threshold
         # for reusing temporaries, where operand order has bitten before
         op = make_operator(129, 80.0)
         b = random_field(op.shape, seed=9)
