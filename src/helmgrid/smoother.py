@@ -16,6 +16,7 @@ operator across calls.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zpotrf, zpotrs, ztrcon
 
@@ -116,15 +117,19 @@ def _normal_equations(gram: np.ndarray) -> np.ndarray | None:
 
 
 def _householder_lstsq(block: np.ndarray) -> np.ndarray:
-    """The minimizing coefficients by Householder QR of the Krylov vectors
-    as the rows of one block, ``K^T = Q R``: ``y`` minimizes
+    """The minimizing coefficients by Householder QR (LAPACK ``geqrf``) of the
+    Krylov vectors as the rows of one block, ``K^T = Q R``: ``y`` minimizes
     ``||R[:, 0] - R[:, 1:] y||``, GMRES's Hessenberg problem in the monomial
     basis.  At the first ``j`` whose ``R[j, j]`` is negligible against its
     column, ``A^j r0`` depends on the vectors before it and the space is
     invariant: ``y`` keeps ``j`` coefficients, as Arnoldi's breakdown takes
-    fewer steps."""
-    R = np.linalg.qr(block.T, mode="r")
+    fewer steps.  The small problem, columns scaled to unit norm and the
+    target appended last, is factored once more, so ``y`` is one triangular
+    solve on its first ``j`` columns."""
+    geqrf, trtrs = get_lapack_funcs(("geqrf", "trtrs"), (block,))
+    R = np.triu(geqrf(block.T, overwrite_a=True)[0][:4])
     m = next((j for j in (1, 2) if abs(R[j, j]) <= BREAKDOWN * np.linalg.norm(R[: j + 1, j])), 3)
     W = R[: m + 1, 1 : m + 1]
     scale = np.linalg.norm(W, axis=0)
-    return np.linalg.lstsq(W / scale, R[: m + 1, 0])[0] / scale
+    T = geqrf(np.column_stack([W / scale, R[: m + 1, 0]]), overwrite_a=True)[0]
+    return trtrs(T[:m, :m], T[:m, m])[0] / scale

@@ -55,6 +55,7 @@ class StencilOperator:
                 f"wavenumber field shape {k_field.values.shape} != grid shape {grid.shape}"
             )
         self.grid, self.k_field, self.shift = grid, k_field, complex(shift)
+        self.shape: tuple[int, int] = grid.shape  # the grid is frozen: read once
         self._x = _second_difference_coeffs(grid.spacing_x)
         self._y = _second_difference_coeffs(grid.spacing_y)
         self._jacobi_scales: dict[complex, np.ndarray] = {}
@@ -63,10 +64,6 @@ class StencilOperator:
     def mode(self) -> str:
         """``"physical"`` or ``"shifted"``; kept for span keys in ``perfbench/tracing.py``."""
         return "physical" if self.shift == 1 and self.grid.gamma == 1 else "shifted"
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.shape
 
     @property
     def n_unknowns(self) -> int:

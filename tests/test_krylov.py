@@ -2,16 +2,21 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helmgrid import (
+    ConstantK,
+    ProblemConfig,
     build_hierarchy,
     fgmres,
     make_preconditioner,
+    setup_problem,
+    sweep,
     v_cycle,
 )
-from helmgrid.krylov import _arnoldi_cycle, _givens
+from helmgrid.krylov import DEFLATE, _arnoldi_cycle, _Basis, _givens, kept_pairs
 from tests.conftest import make_operator, random_field
 
 
@@ -91,42 +96,67 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def reference_right_preconditioned_gmres(a, m, b, tol, restart, max_iter):
-    """Textbook dense right-preconditioned GMRES: explicit iterates and
-    per-iteration true residual norms (oracle for the flexible solver)."""
-    n = len(b)
-    x = np.zeros(n, dtype=complex)
-    history = [1.0]
+def reference_gmres_dr(a, m, b, tol, restart, max_iter):
+    """Textbook dense GMRES with deflated restarting (Morgan 2002) on the
+    right-preconditioned matrix ``a m``, oracle for the flexible solver when
+    the preconditioner is fixed.
+
+    The basis is explicit and orthonormalized by classical Gram-Schmidt run
+    twice; each step solves the dense least-squares problem
+    ``min ||r - a m W y||`` over the cycle's basis ``W`` for its residual.  A
+    restart takes the harmonic Ritz pairs of ``a m`` over ``W`` from the dense
+    projected matrices, ``(a m W)^H (a m W) g = theta (a m W)^H W g``, keeps
+    those of smallest modulus (DEFLATE, at most half the restart, none at
+    restart <= 2), and orthonormalizes them together with the residual's
+    coordinates in the cycle's basis by one explicit QR, ``P``; the next
+    cycle's basis is the cycle's times ``P`` and continues from its last
+    column.  Returns ``(x, history)``: one entry per step, each cycle's last
+    one the true residual ``||b - a x|| / ||b||``."""
+    am = a @ m
     b_norm = np.linalg.norm(b)
-    iterates = []
-    while len(history) - 1 < max_iter:
-        r = b - a @ x
-        if np.linalg.norm(r) / b_norm <= tol:
-            break
-        v = [r / np.linalg.norm(r)]
-        h = np.zeros((restart + 1, restart), dtype=complex)
-        done = 0
-        for k in range(restart):
-            w = a @ (m @ v[k])
-            for j in range(k + 1):
-                h[j, k] = np.vdot(v[j], w)
-                w = w - h[j, k] * v[j]
-            h[k + 1, k] = np.linalg.norm(w)
-            done = k + 1
-            e1 = np.zeros(done + 1, dtype=complex)
-            e1[0] = np.linalg.norm(r)
-            y, *_ = np.linalg.lstsq(h[: done + 1, :done], e1, rcond=None)
-            res = np.linalg.norm(e1 - h[: done + 1, :done] @ y)
-            history.append(res / b_norm)
-            if h[k + 1, k] > 1e-14:
-                v.append(w / h[k + 1, k])
-            if res / b_norm <= tol or len(history) - 1 >= max_iter:
+    keep_max = max(0, min(DEFLATE, restart // 2, restart - 2))
+    x = np.zeros(len(b), dtype=complex)
+    history = [1.0]
+    iterations = 0
+    r = b.astype(complex)
+    basis = r[:, None] / np.linalg.norm(r)
+    while True:
+        for j in range(basis.shape[1] - 1, restart):
+            w = am @ basis[:, j]
+            w_before = np.linalg.norm(w)
+            for _ in range(2):
+                w = w - basis @ (basis.conj().T @ w)
+            if np.linalg.norm(w) > 1e-14 * w_before:  # else the space is invariant
+                basis = np.column_stack([basis, w / np.linalg.norm(w)])
+            iterations += 1
+            aw = am @ basis[:, : j + 1]
+            y = np.linalg.lstsq(aw, r, rcond=None)[0]
+            history.append(np.linalg.norm(r - aw @ y) / b_norm)
+            if history[-1] <= tol or iterations >= max_iter:
                 break
-        x = x + m @ (np.column_stack(v[:done]) @ y)
-        iterates.append(x.copy())
-        if history[-1] <= tol:
-            break
-    return x, history, iterates
+        cols = j + 1
+        x = x + m @ (basis[:, :cols] @ y)
+        r = b - a @ x
+        history[-1] = np.linalg.norm(r) / b_norm
+        if history[-1] <= tol or iterations >= max_iter:
+            return x, history
+        keep = min(keep_max, cols - 1)
+        if keep == 0:
+            basis = r[:, None] / np.linalg.norm(r)
+            continue
+        theta, g = scipy.linalg.eig(aw.conj().T @ aw, aw.conj().T @ basis[:, :cols])
+        g = g[:, np.argsort(np.abs(theta))[:keep]]
+        s = basis[:, : cols + 1].conj().T @ r
+        p = np.linalg.qr(np.block([[g, s[:cols, None]], [np.zeros((1, keep)), s[cols:, None]]]))[0]
+        basis = basis[:, : cols + 1] @ p
+
+
+def cycle_ends(iterations, restart):
+    """History indices of the true residuals: the first cycle takes
+    ``restart`` steps, each later one ``restart - kept_pairs(restart)``, the
+    last one what is left."""
+    ends = list(range(min(restart, iterations), iterations, restart - kept_pairs(restart)))
+    return ends + [iterations] if iterations else ends
 
 
 class TestFgmres:
@@ -159,15 +189,17 @@ class TestFgmres:
         op_m = make_operator(31, 20.0)
         hier = build_hierarchy(op_m)
         b = random_field((31, 31), seed=2)
-        _, report = fgmres(op_a.apply, make_preconditioner(hier), b, restart=20, max_iter=60)
+        _, report = fgmres(op_a.apply, make_preconditioner(hier), b, restart=6, max_iter=60)
         h = np.asarray(report.residual_history)
+        starts = [1] + [end + 1 for end in cycle_ends(report.iterations, 6)]
+        assert report.restarts > 2
         for i in range(1, len(h)):
-            if (i - 1) % 20 != 0:  # within one restart cycle
+            if i not in starts:  # within one restart cycle
                 assert h[i] <= h[i - 1] * (1 + 1e-12)
 
     def test_fixed_linear_preconditioner_matches_reference_gmres(self, hier31_poly3):
         # with poly3 smoothing the V-cycle is a fixed linear operator; FGMRES
-        # must then reproduce standard right-preconditioned GMRES
+        # must then reproduce right-preconditioned GMRES with deflated restarting
         op_a = make_operator(31, 20.0, mode="physical")
         n = 31 * 31
         op_m = hier31_poly3.levels[0].op
@@ -182,7 +214,7 @@ class TestFgmres:
         x, report = fgmres(
             op_a.apply, make_preconditioner(hier31_poly3), b, tol=1e-8, restart=10, max_iter=80
         )
-        x_ref, hist_ref, _ = reference_right_preconditioned_gmres(
+        x_ref, hist_ref = reference_gmres_dr(
             a_dense, m_dense, b.ravel(), tol=1e-8, restart=10, max_iter=80
         )
         m = min(len(report.residual_history), len(hist_ref))
@@ -217,9 +249,7 @@ class TestFgmres:
             lambda v: a @ v, (lambda v: m @ v) if preconditioned else None, b,
             tol=1e-9, restart=restart, max_iter=40,
         )
-        x_ref, hist_ref, _ = reference_right_preconditioned_gmres(
-            a, m, b, tol=1e-9, restart=restart, max_iter=40
-        )
+        x_ref, hist_ref = reference_gmres_dr(a, m, b, tol=1e-9, restart=restart, max_iter=40)
         assert report.iterations == len(hist_ref) - 1
         np.testing.assert_allclose(report.residual_history, hist_ref, rtol=0, atol=1e-8)
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
@@ -359,6 +389,64 @@ class TestArnoldiCycle:
         want = reference_arnoldi_cycle(op.apply, None, u, r, 3)
         assert np.array_equal(bits(got[0]), bits(want[0]))
         assert np.array_equal(bits(got[1]), bits(want[1]))
+
+
+class TestDeflatedRestart:
+    @pytest.mark.parametrize("smoother", ["poly3", "gmres3"])
+    def test_restart_keeps_the_flexible_arnoldi_relation(self, smoother, hier31_poly3, hier31_gmres):
+        # the poly3 V-cycle is a fixed preconditioner, the GMRES(3) one is not;
+        # either way V stays orthonormal and A Z = V Hbar holds after the
+        # restart's recombination and after the cycle that extends it
+        op_a = make_operator(31, 20.0, mode="physical")
+        hier = hier31_poly3 if smoother == "poly3" else hier31_gmres
+        precondition = make_preconditioner(hier)
+        b = random_field((31, 31), seed=21)
+        m = 10
+        basis = _Basis(b, m, flexible=True)
+
+        def check_relation(columns):
+            v = basis.V[: columns + 1].reshape(columns + 1, -1).T
+            az = np.column_stack([op_a.apply(z).ravel() for z in basis.Z[:columns]])
+            assert np.linalg.norm(v.conj().T @ v - np.eye(columns + 1)) <= 1e-12
+            relation = az - v @ basis.hbar[: columns + 1, :columns]
+            assert np.linalg.norm(relation) <= 1e-12 * np.linalg.norm(az)
+            return v
+
+        x, estimates, _ = _arnoldi_cycle(op_a.apply, precondition, np.zeros_like(b), b, m, 0.0, basis)
+        assert len(estimates) == m
+        basis.deflate(kept_pairs(m))
+        assert basis.kept == 5
+        v = check_relation(basis.kept)
+        # the kept space starts from the residual of the cycle before
+        r = (b - op_a.apply(x)).ravel()
+        assert np.linalg.norm(r - v @ basis.c[: basis.kept + 1]) <= 1e-10 * np.linalg.norm(r)
+        _, estimates, _ = _arnoldi_cycle(op_a.apply, precondition, x, None, m, 0.0, basis)
+        assert len(estimates) == m - basis.kept
+        check_relation(m)
+
+    def test_restarts_count_the_true_residual_entries(self):
+        # every step applies A once, and every cycle once more for the true
+        # residual that ends it in the history
+        problem = setup_problem(ProblemConfig(n=31, k=ConstantK(20.0), rhs="random", seed=3))
+        applies = []
+
+        def apply_a(v):
+            applies.append(1)
+            return problem.physical_op.apply(v)
+
+        precondition = make_preconditioner(problem.hierarchy)
+        _, report = fgmres(apply_a, precondition, problem.b, restart=6, max_iter=60)
+        assert report.converged
+        assert report.restarts == len(applies) - report.iterations
+        assert report.restarts == len(cycle_ends(report.iterations, 6)) > 2
+        assert json.loads(json.dumps(report.to_dict()))["restarts"] == report.restarts
+
+    def test_sweep_iterations_not_above_plain_restarts(self):
+        # restarted FGMRES(20) took 9, 18, 31 and 42 iterations on this sweep
+        rows, _ = sweep([10.0, 20.0, 40.0, 80.0])
+        assert all(row["converged"] for row in rows)
+        for row, plain in zip(rows, (9, 18, 31, 42)):
+            assert row["iterations"] <= plain, row
 
 
 class TestBaseline:
