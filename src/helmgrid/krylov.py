@@ -4,18 +4,20 @@ A restart cycle extends the flexible Arnoldi relation ``A Z = V Hbar`` by up
 to m steps: modified Gram-Schmidt with one reorthogonalization pass, Givens
 rotations for the least-squares problem, and the preconditioned vectors ``Z``
 stored so the preconditioner may change from step to step -- required when
-the multigrid smoother is itself GMRES.  The first cycle starts from the
-residual; each restart after it keeps the :data:`DEFLATE` harmonic Ritz pairs
-of smallest modulus of the cycle's unrotated ``Hbar`` (FGMRES-DR: Morgan,
-SISC 24, 2002; Giraud, Gratton, Pinel & Vasseur, SISC 32, 2010), so the slow
-modes the preconditioner leaves near 0 are not dropped and found again.  With
-no preconditioner it is plain GMRES-DR (``solve_baseline``).  The GMRES(3)
-smoother minimizes over the same kind of Krylov space but does not run this
-process: it solves a 3-column least-squares problem in the monomial basis
-(``smoother``).  Residual norms come from the Givens recurrence, and each
-cycle ends on a verified true residual.  ``V`` and ``Z`` are preallocated, a
-restart recombines them in place in column chunks, and step vector work runs
-in place (aliasing rule: ``_arnoldi_cycle``).
+the multigrid smoother is itself GMRES.  Each restart keeps the
+:data:`DEFLATE` harmonic Ritz pairs of smallest modulus of the cycle's
+unrotated ``Hbar`` (FGMRES-DR: Morgan, SISC 24, 2002; Giraud, Gratton, Pinel
+& Vasseur, SISC 32, 2010), so the slow modes the preconditioner leaves near 0
+are not dropped and found again; the first cycle, and any restart that keeps
+none, is the case of no kept columns, a relation started from the residual.
+With no preconditioner it is plain GMRES-DR (``solve_baseline``).  The
+GMRES(3) smoother minimizes over the same kind of Krylov space but does not
+run this process: it solves a 3-column least-squares problem in the monomial
+basis (``smoother``).  Residual norms come from the Givens recurrence, and
+each cycle ends on a verified true residual.  ``V`` and ``Z`` are
+preallocated, a restart recombines them in place in column chunks, and every
+Gram-Schmidt update is one BLAS ``zaxpy`` in place on the next basis row
+(aliasing rule: ``_arnoldi_cycle``).
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ class _Basis:
 
     ``V`` holds ``m + 1`` fields and ``Z`` ``m``, allocated once; without a
     preconditioner ``Z`` is ``None`` and ``V[:n]`` stands in for it.  ``kept``
-    columns carry into the next cycle (0: it starts from its residual
-    argument); ``steps`` and ``y`` are the last cycle's columns and
-    least-squares coefficients.
+    columns carry into the next cycle (:meth:`start` or :meth:`deflate` sets
+    them); ``steps`` and ``y`` are the last cycle's columns and least-squares
+    coefficients.
     """
 
     def __init__(self, like: np.ndarray, m: int, flexible: bool):
@@ -101,10 +103,20 @@ class _Basis:
         self.kept = self.steps = 0
         self.y = np.zeros(0, dtype=complex)
 
+    def start(self, r: np.ndarray) -> None:
+        """Restart from the nonzero residual ``r`` with no kept columns:
+        ``V[0] = r / ||r||`` and ``c = ||r|| e_1``."""
+        beta = np.linalg.norm(r)
+        np.multiply(r, 1.0 / beta, out=self.V[0])
+        self.hbar.fill(0.0)
+        self.c.fill(0.0)
+        self.c[0] = beta
+        self.kept = 0
+
     def deflate(self, keep: int) -> None:
         """Restart on the ``keep`` harmonic Ritz pairs of smallest modulus of
-        the last cycle's ``hbar``, at most ``steps - 1``; ``keep = 0`` makes
-        the next cycle start from its residual argument.
+        the last cycle's ``hbar``, at most ``steps - 1``; with none kept the
+        next cycle needs :meth:`start`.
 
         The pairs ``(theta, g)`` solve ``hbar^H hbar g = theta H^H g``, ``H``
         the square top of ``hbar``, so ``hbar g - theta [g; 0]`` is parallel
@@ -154,52 +166,38 @@ def _recombine(fields: np.ndarray, P: np.ndarray) -> None:
         flat[:cols, a : a + RECOMBINE_CHUNK] = pt @ flat[:rows, a : a + RECOMBINE_CHUNK]
 
 
-def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0, basis=None):
+def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
     """One restart cycle of flexible GMRES from the iterate ``x``.
 
-    Extends ``basis`` in place (a fresh one of ``m`` steps when ``None``) to
-    up to ``m`` columns of Arnoldi on ``A M`` (``M = precondition``, identity
-    when ``None``) and returns ``(x + c, estimates, breakdown)``:
-    ``c = Z y`` minimizes ``||r - A c||`` over the preconditioned vectors
-    ``Z``; ``estimates`` holds the residual-norm estimate after each new step;
-    ``breakdown`` says whether the Krylov space became invariant.  With no
-    kept columns the cycle starts from the residual ``r = b - A x``, and a
-    zero ``r`` gives a copy of ``x``; with ``basis.kept`` columns it starts
-    from the deflated relation and its residual ``V c``, and ``r`` is not
-    read.  Stops early once an estimate is at most ``target``, on breakdown,
-    or on a singular projection (that step is dropped).
+    Extends the relation ``basis`` holds, from its ``kept`` columns and its
+    residual ``V c``, in place to up to ``m`` columns of Arnoldi on ``A M``
+    (``M = precondition``, identity when ``None``) and returns
+    ``(x + Z y, estimates, breakdown)``: ``Z y`` minimizes ``||V c - A Z y||``
+    over the preconditioned vectors ``Z``; ``estimates`` holds the
+    residual-norm estimate after each new step; ``breakdown`` says whether the
+    Krylov space became invariant.  The kept block of ``hbar`` is rotated to
+    triangular by its complete QR, which is the 1 x 1 identity when no column
+    is kept (:meth:`_Basis.start`).  Stops early once an estimate is at most
+    ``target``, on breakdown, or on a singular projection (that step is
+    dropped).
 
-    Vector work runs in place.  A cycle from the residual keeps the operand
-    order of ``w - h * v`` through one scratch vector and scales by
-    ``1 / norm`` as numpy's division does, so it is bit for bit the
-    out-of-place form; a cycle from kept columns subtracts with BLAS
-    ``zaxpy``, one pass over ``w`` a vector against numpy's two, which took
-    about 40% off its Gram-Schmidt time at n = 127 and 255.
-    ``apply_A`` and ``precondition`` may return their argument, so each step's
-    first update writes into the next basis row, never an argument.
+    Each step copies ``A z`` into the next basis row and orthogonalizes it
+    there in place, one BLAS ``zaxpy`` a basis vector: one pass over the
+    vector against numpy's two for ``w - h * v``, which took about 40% off the
+    Gram-Schmidt time at n = 127 and 255.  ``x + Z y`` is accumulated the same
+    way into a copy of ``x``.  No update writes into an argument, so
+    ``apply_A`` and ``precondition`` may return theirs.
     ``||A z||`` feeds only the thresholds; it is ``hypot(||h_k||, ||w||)``.
     """
-    if basis is None:
-        basis = _Basis(r, m, precondition is not None)
     V, hbar, kept = basis.V, basis.hbar, basis.kept
     Z = V if basis.Z is None else basis.Z
     h = np.zeros((m + 1, m), dtype=complex)  # hbar, rotated to triangular
     cs = np.zeros(m)
     sn = np.zeros(m, dtype=complex)
     g = np.zeros(m + 1, dtype=complex)
-    if kept:
-        q, h[: kept + 1, :kept] = np.linalg.qr(hbar[: kept + 1, :kept], mode="complete")
-        q = q.conj().T
-        g[: kept + 1] = q @ basis.c[: kept + 1]
-    else:
-        beta = np.linalg.norm(r)
-        if beta == 0.0:
-            return x.astype(complex), [], False
-        np.multiply(r, 1.0 / beta, out=V[0])
-        hbar.fill(0.0)
-        basis.c.fill(0.0)
-        basis.c[0] = g[0] = beta
-    tmp = np.empty_like(V[0])
+    q, h[: kept + 1, :kept] = np.linalg.qr(hbar[: kept + 1, :kept], mode="complete")
+    q = q.conj().T
+    g[: kept + 1] = q @ basis.c[: kept + 1]
     flat = V.reshape(len(V), -1)
     estimates = []
     breakdown = False
@@ -209,30 +207,24 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0, basis=None):
         else:
             Z[k] = precondition(V[k])
             z = Z[k]
-        w = apply_A(z)
-        if kept:  # one BLAS pass a vector, in place in the next basis row
-            np.copyto(V[k + 1], w)
-            w = V[k + 1]
+        np.copyto(V[k + 1], apply_A(z))
+        w = V[k + 1]
         for j in range(k + 1):
             h[j, k] = np.vdot(V[j], w)
-            if kept:
-                zaxpy(flat[j], flat[k + 1], a=-h[j, k])
-            else:  # the first cycle keeps numpy's rounding of w - h * v
-                w = np.subtract(w, np.multiply(h[j, k], V[j], out=tmp), out=w if j else V[k + 1])
+            zaxpy(flat[j], flat[k + 1], a=-h[j, k])
         w_norm = np.linalg.norm(w)
         norm_before = np.hypot(np.linalg.norm(h[: k + 1, k]), w_norm)
         if w_norm < 1e-8 * norm_before:  # cancellation: orthogonalize once more
             for j in range(k + 1):
                 corr = np.vdot(V[j], w)
                 h[j, k] += corr
-                np.subtract(w, np.multiply(corr, V[j], out=tmp), out=w)
+                zaxpy(flat[j], flat[k + 1], a=-corr)
             w_norm = np.linalg.norm(w)
         h[k + 1, k] = w_norm
         breakdown = w_norm <= 1e-14 * norm_before
         hbar[: k + 2, k] = h[: k + 2, k]
 
-        if kept:
-            h[: kept + 1, k] = q @ h[: kept + 1, k]
+        h[: kept + 1, k] = q @ h[: kept + 1, k]
         for j in range(kept, k):
             t = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
             h[j + 1, k] = -np.conj(sn[j]) * h[j, k] + cs[j] * h[j + 1, k]
@@ -255,11 +247,11 @@ def _arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0, basis=None):
     y = np.zeros(n, dtype=complex)
     for i in range(n - 1, -1, -1):
         y[i] = (g[i] - h[i, i + 1 : n] @ y[i + 1 : n]) / h[i, i]
-    c = np.zeros_like(tmp)
+    out = x.astype(complex).ravel()
     for j in range(n):
-        c += np.multiply(y[j], Z[j], out=tmp)
+        out = zaxpy(Z[j].ravel(), out, a=y[j])
     basis.steps, basis.y = n, y
-    return np.add(x, c, out=c), estimates, breakdown
+    return out.reshape(x.shape), estimates, breakdown
 
 
 def check_fgmres(tol: float, restart: int, max_iter: int) -> None:
@@ -325,10 +317,10 @@ def fgmres(
     size = min(restart, max_iter)
     basis = _Basis(b, size, precondition is not None)
     while b_norm > 0.0:
+        if not basis.kept:
+            basis.start(r)
         m = min(size, basis.kept + max_iter - iterations)
-        x, estimates, breakdown = _arnoldi_cycle(
-            apply_A, precondition, x, r, m, tol * b_norm, basis
-        )
+        x, estimates, breakdown = _arnoldi_cycle(apply_A, precondition, x, m, tol * b_norm, basis)
         iterations += len(estimates)
         restarts += 1
         cycle_start = history[-1]
@@ -345,8 +337,6 @@ def fgmres(
             status = "stagnation"
             break
         basis.deflate(kept_pairs(restart))
-        if basis.kept:
-            r = None  # the next cycle starts from V c; free the field
 
     return x, SolveReport(
         iterations=iterations,

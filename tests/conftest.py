@@ -12,6 +12,7 @@ from helmgrid import (
     build_wavenumber_field,
     rotate_grid,
 )
+from helmgrid.krylov import _arnoldi_cycle, _Basis
 from helmgrid.problems import ProblemConfig, setup_problem
 
 # property tests draw the same examples on every run (derandomize also turns
@@ -40,6 +41,15 @@ def make_operator(n, k, sigma_max=0.0, layer_width=None, mode="precond_grid", be
 def random_field(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0, basis=None):
+    """One FGMRES restart cycle from ``x`` and its nonzero residual ``r``:
+    starts ``basis`` (a fresh one of ``m`` steps when ``None``) at ``r``."""
+    if basis is None:
+        basis = _Basis(r, m, precondition is not None)
+    basis.start(r)
+    return _arnoldi_cycle(apply_A, precondition, x, m, target, basis)
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,9 @@ from helmgrid import (
     poly3_smooth,
 )
 from helmgrid import smoother
-from helmgrid.krylov import _arnoldi_cycle
 from helmgrid.problems import ProblemConfig, setup_problem
 from helmgrid.spectrum import jacobi_weights_for
-from tests.conftest import make_operator, random_field
+from tests.conftest import arnoldi_cycle, make_operator, random_field
 
 
 def reference_gmres_smooth(op, u, b, m=3):
@@ -148,7 +147,7 @@ class TestGmresSmooth:
         op = make_operator(3, 4.0)
         u_exact = random_field((3, 3), seed=12)
         b = op.apply(u_exact)
-        u1 = _arnoldi_cycle(op.apply, None, np.zeros_like(b), b, 9)[0]
+        u1 = arnoldi_cycle(op.apply, None, np.zeros_like(b), b, 9)[0]
         assert np.linalg.norm(op.residual(b, u1)) <= 1e-10 * np.linalg.norm(b)
 
     def test_residual_bounded_by_cubic(self):
@@ -191,7 +190,7 @@ class TestGmresSmooth:
         u = random_field((n, n), seed=seed)
         b = random_field((n, n), seed=seed + 1)
         # the smoother minimizes over the m = 3 space; the cycle is checked at m = 1..3
-        x = _arnoldi_cycle(op.apply, None, u, op.residual(b, u), m)[0]
+        x = arnoldi_cycle(op.apply, None, u, op.residual(b, u), m)[0]
         want = np.linalg.norm(op.residual(b, reference_gmres_smooth(op, u, b, m)))
         if m == 3:
             smoothed = np.linalg.norm(op.residual(b, gmres_smooth(op, u, b)))

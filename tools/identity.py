@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/identity.py OUT.json
 
-writes one sha256 digest per key to ``OUT.json``:
+writes one sha256 digest per key to ``OUT.json``, and a few plain counts:
 
 - ``design/...``: every level's triangle vertices, weights, achieved stability
   and smoothing, high-frequency hull and damped-Jacobi weights, or the fixed
@@ -13,16 +13,20 @@ writes one sha256 digest per key to ``OUT.json``:
   set-ups), or the ``UnstableLevelError`` message where the set-up raises;
 - ``solve/...``: the iterate ``x``, the residual history and the
   ``CycleDiagnostics`` rows of poly3 at n = 63, 127 and GMRES(3) at
-  n = 63, 127, 255, with k = 0.625 (n + 1), seed 0 and a point source;
+  n = 63, 127, 255, with k = 0.625 (n + 1), seed 0 and a point source, and
+  each solve's ``iterations`` and ``restarts`` as plain integers, so a change
+  that only rounds differently shows as digests that differ beside counts
+  that do not;
 - ``spectrum/...``: both CSVs of ``helmgrid spectrum`` at n = 31, k = 20 and
   at n = 63, k = 40;
 - ``environment``: ``cli.environment()``.
 
 It uses public names only (``ProblemConfig``, ``setup_problem``, ``solve``,
-the ``spectrum`` command and the design records), so one copy of the script
-fingerprints an older checkout too, whether or not it designs the coarsest
-level: run it once with each checkout's ``src`` on ``PYTHONPATH`` and compare
-the two files key by key.
+the ``spectrum`` command, the design records and ``SolveReport``'s
+``iterations`` and ``restarts``), so one copy of the script fingerprints an
+older checkout too, one whose report counts restarts, whether or not it
+designs the coarsest level: run it once with each checkout's ``src`` on
+``PYTHONPATH`` and compare the two files key by key.
 Digests are equal only at equal BLAS thread counts: set
 ``OPENBLAS_NUM_THREADS=1``.  Takes about 15 seconds on one core.
 """
@@ -102,6 +106,8 @@ def solve_digests(smoother: str, n: int) -> dict:
         f"{tag}/x": digest(x.tobytes()),
         f"{tag}/residual_history": digest(np.array(report.residual_history, dtype=float).tobytes()),
         f"{tag}/diagnostics_rows": digest(json.dumps(report.diagnostics.rows).encode()),
+        f"{tag}/iterations": report.iterations,
+        f"{tag}/restarts": report.restarts,
     }
 
 
