@@ -22,12 +22,12 @@ from .stencil import StencilOperator
 __all__ = ["TilePlan", "BenchRow", "blocked_poly3", "bench", "FUSED_SWEEPS"]
 
 FUSED_SWEEPS = 3
-# hand count per computed point per sweep (complex128 arithmetic):
+# hand count per computed point per sweep (complex arithmetic):
 #   5-point stencil: 5 complex mul (6 flops each) + 4 complex add (2 each) = 38
 #   update u + (b - Au)*(w/d): sub 2 + mul 6 + add 2, plus the per-point
 #   weighted reciprocal diagonal charged at 4                            = 14
+# the bytes per value are the operator's dtype's itemsize
 FLOPS_PER_POINT_PER_SWEEP = 52
-BYTES_PER_VALUE = 16
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,11 @@ class TilePlan:
 
 
 def blocked_poly3(op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, plan: TilePlan) -> np.ndarray:
-    """Tiled fused triple damped-Jacobi sweep with weights (w1, w2, w3), equal to the naive path."""
+    """Tiled fused triple damped-Jacobi sweep with weights (w1, w2, w3), in the
+    operator's dtype, equal to the naive path."""
     w1, w2, w3 = weights
-    u = np.asarray(u, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    u = np.asarray(u, dtype=op.dtype)
+    b = np.asarray(b, dtype=op.dtype)
     if u.shape != op.shape or b.shape != op.shape:
         raise ValueError("field shapes do not match the operator")
     out = np.empty_like(u)
@@ -135,7 +136,7 @@ def _model_counts(op: StencilOperator, plan: TilePlan) -> tuple[float, float]:
     bytes_moved = 0.0
     for region, *windows in plan._ranges(op.shape):
         points = [(x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in (region, *windows)]
-        bytes_moved += (points[0] + points[-1]) * BYTES_PER_VALUE
+        bytes_moved += (points[0] + points[-1]) * op.dtype.itemsize
         flops += sum(points[1:]) * FLOPS_PER_POINT_PER_SWEEP
     return flops / op.n_unknowns, bytes_moved / op.n_unknowns
 

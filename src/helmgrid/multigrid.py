@@ -6,6 +6,15 @@ complex stretch and the global rotation factor exactly; the wavenumber field
 is restricted by injection at coincident nodes, and every level keeps the fine
 operator's complex shift.  Transfers are full weighting and bilinear
 interpolation on the index lattice; the coarsest level is solved by dense LU.
+
+Precision: every level but the coarsest with at least
+:data:`SINGLE_MIN_UNKNOWNS` unknowns gets a ``complex64`` operator and runs
+its smoothing, residuals and transfers in single precision; the smaller
+levels and the coarsest LU stay ``complex128``.  A cycle casts each level's
+right-hand side and the prolonged correction to that level's dtype, and
+returns the finest level's.  Outer FGMRES accepts a preconditioner that
+changes from call to call, so the rounding costs iterations, never the
+accuracy of the solve, whose residual stays in double.
 """
 
 from __future__ import annotations
@@ -37,6 +46,13 @@ __all__ = [
 
 COARSEST_MAX = 9
 SMOOTHERS = ("poly3", "gmres3")
+# Smallest level, in unknowns, that runs in complex64.  The large levels hold
+# the cycle's memory traffic, and single precision halves it; the coarse
+# levels keep double because the GMRES(3) smoother's scaled Gram matrix
+# passes single precision's reach there (condition estimates up to 5.9e10 on
+# 15 x 15 at k <= 320, at most 1.2e4 on 127 x 127 and up), and so that every
+# cycle at n <= 63 stays the double-precision cycle.
+SINGLE_MIN_UNKNOWNS = 127 * 127
 
 
 class DivergenceError(RuntimeError):
@@ -194,12 +210,22 @@ def build_hierarchy(
     gives; the coarsest level, whatever its size, is factored by dense LU,
     whose assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and
     ``nu_post`` are the smoothing counts of every cycle on the hierarchy.
+    Every level but the coarsest with at least :data:`SINGLE_MIN_UNKNOWNS`
+    unknowns runs in ``complex64``, every other level in ``complex128``;
+    level 0 is ``fine`` itself, or a copy of it in that dtype.
     """
     check_hierarchy(smoother, nu_pre, nu_post)
+    shapes = level_shapes(fine.shape)
+    dtypes = [
+        np.complex64 if ell < len(shapes) - 1 and nx * ny >= SINGLE_MIN_UNKNOWNS else np.complex128
+        for ell, (nx, ny) in enumerate(shapes)
+    ]
+    if fine.dtype != dtypes[0]:
+        fine = StencilOperator(fine.grid, fine.k_field, fine.shift, dtypes[0])
     ops = [fine]
-    for _ in level_shapes(fine.shape)[1:]:
+    for dtype in dtypes[1:]:
         op = ops[-1]
-        ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift))
+        ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift, dtype))
 
     if smoother == "poly3":
         designs = design_levels(ops[:-1])
@@ -221,22 +247,25 @@ def v_cycle(
     u: np.ndarray | None = None,
     diagnostics: CycleDiagnostics | None = None,
 ) -> np.ndarray:
-    """One V-cycle with the hierarchy's smoothing counts; returns ``u``.
+    """One V-cycle with the hierarchy's smoothing counts; returns ``u`` in the
+    finest level's dtype.
 
     With poly3 smoothing the cycle is a fixed linear operator; with gmres
     smoothing it is not (the smoother re-selects its coefficients from the
     current defect each call).
     """
-    return _cycle(h, 0, np.asarray(b, dtype=complex), u, diagnostics)
+    return _cycle(h, 0, b, u, diagnostics)
 
 
 def _cycle(h, ell, b, u, diag):
-    """One visit of level ``ell``; ``u is None`` is the zero iterate, whose
-    residual is ``b`` itself, so its first smoothing step skips an apply."""
+    """One visit of level ``ell``, in its operator's dtype; ``u is None`` is
+    the zero iterate, whose residual is ``b`` itself, so its first smoothing
+    step skips an apply."""
     if ell == h.depth - 1:
         return coarse_solve(h.coarse_lu, b)
 
     op = h.levels[ell].op
+    b = np.asarray(b, dtype=op.dtype)
     r = None
     if u is None:
         u, r = np.zeros_like(b), b
@@ -250,7 +279,7 @@ def _cycle(h, ell, b, u, diag):
     pre_norm = float(np.linalg.norm(r)) if diag is not None else 0.0
 
     ec = _cycle(h, ell + 1, restrict(r), None, diag)
-    u = u + prolong(ec)
+    u = u + prolong(ec).astype(u.dtype, copy=False)
 
     r = None
     if diag is not None:  # the cgc residual, handed on to the first post-smoothing step

@@ -16,8 +16,7 @@ operator across calls.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.blas import zaxpy
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.linalg.lapack import zpotrf, zpotrs, ztrcon
 
 from .stencil import StencilOperator
@@ -57,9 +56,11 @@ def damped_jacobi(
 def poly3_smooth(
     op: StencilOperator, u: np.ndarray, b: np.ndarray, weights, r: np.ndarray | None = None
 ) -> np.ndarray:
-    """Three damped Jacobi sweeps with weights (w1, w2, w3), in that order;
-    ``r`` is an optional known residual ``b - A u`` for the first sweep."""
+    """Three damped Jacobi sweeps with weights (w1, w2, w3), in that order, in
+    the operator's dtype; ``r`` is an optional known residual ``b - A u`` for
+    the first sweep."""
     w1, w2, w3 = weights
+    u, b = np.asarray(u, dtype=op.dtype), np.asarray(b, dtype=op.dtype)
     u = damped_jacobi(op, u, b, w1, r)
     u = damped_jacobi(op, u, b, w2)
     return damped_jacobi(op, u, b, w3)
@@ -84,6 +85,9 @@ def gmres_smooth(
     need; Cholesky solves those for the coefficients ``y``, unless they are
     singular or worse conditioned than :data:`NORMAL_COND_MAX`, when
     Householder QR of the block does.  Then ``c = y K[:3]``.
+
+    The vectors, the dot products and the result are in the operator's dtype;
+    the Gram matrix and the normal equations are solved in complex128.
     """
     r0 = op.residual(b, u) if r is None else r
     krylov = [r0]
@@ -94,13 +98,14 @@ def gmres_smooth(
         for j in range(max(i, 1), 4):
             gram[i, j] = np.vdot(krylov[i], krylov[j])
     if gram[1, 1] == 0.0:
-        return u.astype(complex)
+        return u.astype(op.dtype)
     y = _normal_equations(gram)
     if y is None:
         y = _householder_lstsq(np.stack([v.ravel() for v in krylov]))
-    out = u.astype(complex).ravel()
+    out = u.astype(op.dtype).ravel()
+    axpy = get_blas_funcs("axpy", (out,))
     for yj, v in zip(y, krylov):
-        out = zaxpy(v.ravel(), out, a=yj)
+        out = axpy(v.ravel(), out, a=yj)
     return out.reshape(r0.shape)
 
 

@@ -12,10 +12,15 @@ field and the complex shift ``s``; the three flavours are
 The last two agree up to the scalar ``gamma^2 = 1 + i*beta``.
 
 Unknowns are ordered y fastest (C order).  The coefficients are one C-ordered
-``(5, n_x, n_y)`` complex store, built on first use, whose rows are scipy's DIA
+``(5, n_x, n_y)`` store, built on first use, whose rows are scipy's DIA
 diagonals for offsets ``(0, -n_y, +n_y, -1, +1)``, zero where a diagonal wraps
 across an x-row; ``apply`` is one DIA matvec, the dense matrix its ``toarray()``.
 The cache-blocked kernel's ``apply_window`` cuts windows from a zero-ringed copy.
+
+An operator has a ``dtype``, ``complex128`` unless given or ``complex64``
+(the multigrid's large levels): the store and damped Jacobi's ``w / D`` are
+computed in double and rounded once to it, and ``apply`` and ``residual``
+cast their inputs to it and return it.
 """
 
 from __future__ import annotations
@@ -49,11 +54,15 @@ def _dia(store: np.ndarray) -> dia_array:
 class StencilOperator:
     """Helmholtz stencil bound to a grid, a wavenumber field and a complex shift."""
 
-    def __init__(self, grid: ComplexGrid, k_field: WavenumberField, shift: complex = 1.0):
+    def __init__(self, grid: ComplexGrid, k_field: WavenumberField, shift: complex = 1.0,
+                 dtype=np.complex128):
         if k_field.values.shape != grid.shape:
             raise ValueError(
                 f"wavenumber field shape {k_field.values.shape} != grid shape {grid.shape}"
             )
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.complex64, np.complex128):
+            raise ValueError(f"dtype must be complex64 or complex128, got {self.dtype}")
         self.grid, self.k_field, self.shift = grid, k_field, complex(shift)
         self.shape: tuple[int, int] = grid.shape  # the grid is frozen: read once
         self._x = _second_difference_coeffs(grid.spacing_x)
@@ -72,7 +81,7 @@ class StencilOperator:
     @cached_property
     def _store(self) -> np.ndarray:
         (dx, lx, rx), (dy, ly, ry) = self._x, self._y
-        store = np.zeros((5, *self.shape), dtype=complex)
+        store = np.zeros((5, *self.shape), dtype=self.dtype)
         k2 = self.k_field.values.astype(complex) ** 2
         np.subtract(dx[:, None] + dy[None, :], self.shift * k2, out=store[0])
         store[1, :-1], store[2, 1:] = lx[1:, None], rx[:-1, None]
@@ -84,11 +93,12 @@ class StencilOperator:
         return _dia(self._store)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply the operator to a field of shape (n_x, n_y)."""
+        """Apply the operator to a field of shape (n_x, n_y); the field is cast
+        to the operator's dtype, and so is the result."""
         u = np.asarray(u)
         if u.shape != self.shape:
             raise ValueError(f"field shape {u.shape} != operator shape {self.shape}")
-        return (self._matrix @ u.astype(complex, copy=False).ravel()).reshape(self.shape)
+        return (self._matrix @ u.astype(self.dtype, copy=False).ravel()).reshape(self.shape)
 
     @cached_property
     def _ringed_store(self) -> np.ndarray:
@@ -114,20 +124,20 @@ class StencilOperator:
         second-difference diagonal, read only.  A level's cubic sweeps with the
         same three weights on every call, so the last three weights' arrays
         are kept, formed at first use: operators damped Jacobi never runs on
-        (GMRES(3) levels, the physical one) keep none.  The cache-blocked
-        kernel slices the same arrays."""
+        (GMRES(3) levels, the physical one) keep none.  The arrays are in the
+        operator's dtype; the cache-blocked kernel slices the same arrays."""
         w = complex(w)
         if w not in self._jacobi_scales:
             if len(self._jacobi_scales) == 3:
                 self._jacobi_scales.clear()
-            scale = w / self.grid_diagonal()
+            scale = (w / self.grid_diagonal()).astype(self.dtype, copy=False)
             scale.flags.writeable = False
             self._jacobi_scales[w] = scale
         return self._jacobi_scales[w]
 
     def residual(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """b - A u."""
-        b = np.asarray(b)
+        """b - A u, in the operator's dtype."""
+        b = np.asarray(b, dtype=self.dtype)
         if b.shape != self.shape:
             raise ValueError(f"rhs shape {b.shape} != operator shape {self.shape}")
         v = self.apply(u)

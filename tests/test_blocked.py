@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helmgrid import TilePlan, bench, blocked_poly3, poly3_smooth
+from helmgrid import StencilOperator, TilePlan, bench, blocked_poly3, poly3_smooth
 from helmgrid.blocked import FLOPS_PER_POINT_PER_SWEEP, FUSED_SWEEPS
 from helmgrid.grid import ComplexGrid, ConstantK, WedgeK, build_wavenumber_field
 from tests.conftest import MODES, make_operator, operator_for, random_field
@@ -57,6 +57,17 @@ class TestBlockedPoly3:
         for t in (8, 16, 32, 64, 129):
             got = blocked_poly3(op, u, b, WEIGHTS, TilePlan(t, t))
             assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+    def test_tile_ladder_bit_for_bit_on_complex64_operator(self):
+        # the kernel runs in the operator's dtype, as the naive sweep does
+        op = make_operator(129, 40.0, sigma_max=1.0)
+        op = StencilOperator(op.grid, op.k_field, op.shift, np.complex64)
+        u = random_field((129, 129), seed=4)
+        b = random_field((129, 129), seed=5)
+        want = poly3_smooth(op, u, b, WEIGHTS)
+        assert want.dtype == np.complex64
+        for t in (8, 16, 32, 64, 129):
+            np.testing.assert_array_equal(blocked_poly3(op, u, b, WEIGHTS, TilePlan(t, t)), want)
 
     @settings(max_examples=150)
     @given(
@@ -115,6 +126,13 @@ class TestBench:
         assert all(a > b for a, b in zip(flops, flops[1:]))
         assert all(a > b for a, b in zip(traffic, traffic[1:]))
         assert all(a < b for a, b in zip(intensity, intensity[1:]))
+
+    def test_bytes_follow_the_operator_dtype(self, op31):
+        single = StencilOperator(op31.grid, op31.k_field, op31.shift, np.complex64)
+        plan = [TilePlan(8, 8)]
+        (double_row,), (single_row,) = (bench(op, WEIGHTS, plan, repetitions=1) for op in (op31, single))
+        assert single_row.flops_per_point == double_row.flops_per_point
+        assert single_row.est_bytes_per_point == double_row.est_bytes_per_point / 2
 
     def test_empty_plan_list_rejected(self, op31):
         with pytest.raises(ValueError, match="plan"):

@@ -15,7 +15,8 @@ from helmgrid import (
     restrict,
     v_cycle,
 )
-from helmgrid.multigrid import COARSEST_MAX, coarsen_field, coarsen_grid, level_shapes
+from helmgrid.multigrid import (COARSEST_MAX, SINGLE_MIN_UNKNOWNS, coarsen_field, coarsen_grid,
+                                level_shapes)
 from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, build_wavenumber_field
 from helmgrid.problems import ProblemConfig, build_operators, max_grid_size, setup_problem, solve
 from helmgrid.stencil import DENSE_SIZE_CAP
@@ -369,3 +370,48 @@ class TestCoarseSolve:
         u1 = coarse_solve(hier31_gmres.coarse_lu, b)
         u2 = coarse_solve(hier31_gmres.coarse_lu, b)
         np.testing.assert_array_equal(u1, u2)
+
+
+class TestPrecision:
+    """Levels of at least SINGLE_MIN_UNKNOWNS unknowns, the coarsest
+    excepted, run in complex64 under double-precision FGMRES."""
+
+    @pytest.mark.parametrize("n, singles", [(255, 2), (127, 1), (63, 0), (7, 0)])
+    def test_large_levels_single_the_rest_double(self, n, singles):
+        h = build_hierarchy(make_operator(n, 0.625 * (n + 1), sigma_max=1.0))
+        dtypes = [level.op.dtype for level in h.levels]
+        assert dtypes == [np.complex64] * singles + [np.complex128] * (h.depth - singles)
+        assert all(level.op.n_unknowns >= SINGLE_MIN_UNKNOWNS for level in h.levels[:singles])
+        assert h.coarse_lu[0].dtype == np.complex128
+
+    def test_cycle_returns_level_zero_dtype(self):
+        h = build_hierarchy(make_operator(127, 80.0, sigma_max=1.0))
+        u = v_cycle(h, random_field((127, 127), seed=20))
+        assert u.dtype == np.complex64 and np.all(np.isfinite(u))
+
+    def test_grid_and_csl_agree_in_single_precision(self):
+        # criterion 5 pins 1e-8 where every level is double (n <= 63); at
+        # n = 127 level 0 runs in complex64, where the two cycles, equal up to
+        # the scalar gamma^2, round apart
+        runs = {}
+        for precond in ("grid", "csl"):
+            config = ProblemConfig(n=127, k=ConstantK(80.0), precond=precond)
+            x, report, problem = solve(config)
+            assert problem.hierarchy.levels[0].op.dtype == np.complex64
+            assert x.dtype == np.complex128
+            assert report.converged and report.final_residual <= config.tol
+            runs[precond] = report
+        grid, csl = runs["grid"], runs["csl"]
+        assert (grid.iterations, grid.restarts) == (csl.iterations, csl.restarts)
+        hg, hc = np.asarray(grid.residual_history), np.asarray(csl.residual_history)
+        assert np.max(np.abs(hg - hc) / hg) <= 1e-3
+
+    def test_poly3_cycle_is_linear_in_single_precision(self):
+        h = setup_problem(ProblemConfig(n=127, k=ConstantK(80.0), smoother="poly3")).hierarchy
+        assert h.levels[0].op.dtype == np.complex64
+        b1 = random_field((127, 127), seed=21)
+        b2 = random_field((127, 127), seed=22)
+        u1 = v_cycle(h, b1)
+        u2 = v_cycle(h, b2)
+        u12 = v_cycle(h, b1 + b2)
+        assert np.max(np.abs(u12 - (u1 + u2))) <= 1e-5 * np.max(np.abs(u12))

@@ -172,6 +172,18 @@ class TestApply:
         with pytest.raises(ValueError, match="shape"):
             op31.apply(np.zeros((30, 31)))
 
+    def test_complex64_operator_is_the_rounded_double(self, op31):
+        single = StencilOperator(op31.grid, op31.k_field, op31.shift, np.complex64)
+        np.testing.assert_array_equal(single._store, op31._store.astype(np.complex64))
+        u = random_field((31, 31), seed=3)
+        got, want = single.apply(u), op31.apply(u)
+        assert got.dtype == single.residual(u, u).dtype == single.jacobi_scale(0.5).dtype == np.complex64
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_real_dtype_rejected(self, op31):
+        with pytest.raises(ValueError, match="dtype"):
+            StencilOperator(op31.grid, op31.k_field, dtype=np.float64)
+
     @settings(max_examples=100)
     @given(problem=rect_problems(), mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_apply_on_non_square_grids(self, problem, mode, seed):
