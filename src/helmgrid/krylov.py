@@ -1,23 +1,25 @@
 """Flexible GMRES with deflated restarting: the library's one Arnoldi process.
 
 A restart cycle extends the flexible Arnoldi relation ``A Z = V Hbar`` by up
-to m steps: modified Gram-Schmidt with one reorthogonalization pass, Givens
-rotations for the least-squares problem, and the preconditioned vectors ``Z``
-stored so the preconditioner may change from step to step -- required when
-the multigrid smoother is itself GMRES.  Each restart keeps the
-:data:`DEFLATE` harmonic Ritz pairs of smallest modulus of the cycle's
-unrotated ``Hbar`` (FGMRES-DR: Morgan, SISC 24, 2002; Giraud, Gratton, Pinel
-& Vasseur, SISC 32, 2010), so the slow modes the preconditioner leaves near 0
-are not dropped and found again; the first cycle, and any restart that keeps
-none, is the case of no kept columns, a relation started from the residual.
-With no preconditioner it is plain GMRES-DR (``solve_baseline``).  The
-GMRES(3) smoother minimizes over the same kind of Krylov space but does not
-run this process: it solves a 3-column least-squares problem in the monomial
-basis (``smoother``).  Residual norms come from the Givens recurrence, and
-each cycle ends on a verified true residual.  ``V`` and ``Z`` are
-preallocated, a restart recombines them in place in column chunks, and every
-Gram-Schmidt update is one BLAS ``zaxpy`` in place on the next basis row
-(aliasing rule: ``_arnoldi_cycle``).
+to m steps: modified Gram-Schmidt with one reorthogonalization pass, and the
+preconditioned vectors ``Z`` stored so the preconditioner may change from
+step to step -- required when the multigrid smoother is itself GMRES.
+``Hbar`` is the cycle's one Hessenberg matrix.  Each step's residual-norm
+estimate and the cycle's coefficients come from a Householder QR of
+``[Hbar | c]``, the least-squares problem ``min ||c - Hbar y||`` (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2003, ch. 6), and each cycle
+ends on a verified true residual.  Each restart keeps the :data:`DEFLATE`
+harmonic Ritz pairs of smallest modulus of the cycle's ``Hbar`` (FGMRES-DR:
+Morgan, SISC 24, 2002; Giraud, Gratton, Pinel & Vasseur, SISC 32, 2010), so
+the slow modes the preconditioner leaves near 0 are not dropped and found
+again; the first cycle, and any restart that keeps none, is the case of no
+kept columns, a relation started from the residual.  With no preconditioner
+it is plain GMRES-DR (``solve_baseline``).  The GMRES(3) smoother minimizes
+over the same kind of Krylov space but does not run this process: it solves
+a 3-column least-squares problem in the monomial basis (``smoother``).
+``V`` and ``Z`` are preallocated, a restart recombines them in place in
+column chunks, and every Gram-Schmidt update is one BLAS ``zaxpy`` in place
+on the next basis row (aliasing rule: ``_arnoldi_cycle``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
+from scipy.linalg.lapack import zgeqrf, ztrtrs
 
 __all__ = ["SolveReport", "fgmres"]
 
@@ -72,16 +75,6 @@ def kept_pairs(restart: int) -> int:
     :data:`DEFLATE`, at most half the cycle, and none at ``restart <= 2``,
     which stays plain restarted GMRES."""
     return max(0, min(DEFLATE, restart // 2, restart - 2))
-
-
-def _givens(a: complex, b: complex):
-    if a == 0:
-        return 0.0, 1.0 + 0.0j
-    absa = abs(a)
-    r = np.hypot(absa, abs(b))
-    c = absa / r
-    s = (a / absa) * np.conj(b) / r
-    return c, s
 
 
 class _Basis:
@@ -173,13 +166,17 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
     residual ``V c``, in place to up to ``m`` columns of Arnoldi on ``A M``
     (``M = precondition``, identity when ``None``) and returns
     ``(x + Z y, estimates, breakdown)``: ``Z y`` minimizes ``||V c - A Z y||``
-    over the preconditioned vectors ``Z``; ``estimates`` holds the
-    residual-norm estimate after each new step; ``breakdown`` says whether the
-    Krylov space became invariant.  The kept block of ``hbar`` is rotated to
-    triangular by its complete QR, which is the 1 x 1 identity when no column
-    is kept (:meth:`_Basis.start`).  Stops early once an estimate is at most
-    ``target``, on breakdown, or on a singular projection (that step is
-    dropped).
+    over the preconditioned vectors ``Z``, so ``y`` minimizes
+    ``||c - hbar y||``; ``estimates`` holds the residual-norm estimate after
+    each new step; ``breakdown`` says whether the Krylov space became
+    invariant.  ``hbar`` is the cycle's only Hessenberg matrix: after step
+    ``k`` one Householder QR (LAPACK ``geqrf``) of
+    ``[hbar[:k + 2, :k + 1] | c[:k + 2]] = Q R`` gives the estimate
+    ``|R[k + 1, k + 1]|``, the part of ``c`` outside the range of ``hbar``,
+    with the kept block factored as any other columns, and ``y`` is one
+    triangular solve (``trtrs``) on the last step's ``R``.  Stops early once
+    an estimate is at most ``target``, on breakdown, or on a singular
+    projection, ``R[k, k] == 0`` (that step is dropped).
 
     Each step copies ``A z`` into the next basis row and orthogonalizes it
     there in place, one BLAS ``zaxpy`` a basis vector: one pass over the
@@ -189,15 +186,8 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
     ``apply_A`` and ``precondition`` may return theirs.
     ``||A z||`` feeds only the thresholds; it is ``hypot(||h_k||, ||w||)``.
     """
-    V, hbar, kept = basis.V, basis.hbar, basis.kept
+    V, hbar, c, kept = basis.V, basis.hbar, basis.c, basis.kept
     Z = V if basis.Z is None else basis.Z
-    h = np.zeros((m + 1, m), dtype=complex)  # hbar, rotated to triangular
-    cs = np.zeros(m)
-    sn = np.zeros(m, dtype=complex)
-    g = np.zeros(m + 1, dtype=complex)
-    q, h[: kept + 1, :kept] = np.linalg.qr(hbar[: kept + 1, :kept], mode="complete")
-    q = q.conj().T
-    g[: kept + 1] = q @ basis.c[: kept + 1]
     flat = V.reshape(len(V), -1)
     estimates = []
     breakdown = False
@@ -209,34 +199,24 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
             z = Z[k]
         np.copyto(V[k + 1], apply_A(z))
         w = V[k + 1]
+        h = hbar[:, k]
         for j in range(k + 1):
-            h[j, k] = np.vdot(V[j], w)
-            zaxpy(flat[j], flat[k + 1], a=-h[j, k])
+            h[j] = np.vdot(V[j], w)
+            zaxpy(flat[j], flat[k + 1], a=-h[j])
         w_norm = np.linalg.norm(w)
-        norm_before = np.hypot(np.linalg.norm(h[: k + 1, k]), w_norm)
+        norm_before = np.hypot(np.linalg.norm(h[: k + 1]), w_norm)
         if w_norm < 1e-8 * norm_before:  # cancellation: orthogonalize once more
             for j in range(k + 1):
                 corr = np.vdot(V[j], w)
-                h[j, k] += corr
+                h[j] += corr
                 zaxpy(flat[j], flat[k + 1], a=-corr)
             w_norm = np.linalg.norm(w)
-        h[k + 1, k] = w_norm
+        h[k + 1] = w_norm
         breakdown = w_norm <= 1e-14 * norm_before
-        hbar[: k + 2, k] = h[: k + 2, k]
-
-        h[: kept + 1, k] = q @ h[: kept + 1, k]
-        for j in range(kept, k):
-            t = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
-            h[j + 1, k] = -np.conj(sn[j]) * h[j, k] + cs[j] * h[j + 1, k]
-            h[j, k] = t
-        cs[k], sn[k] = _givens(h[k, k], h[k + 1, k])
-        h[k, k] = cs[k] * h[k, k] + sn[k] * h[k + 1, k]
-        h[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
-        g[k] = cs[k] * g[k]
-        if abs(h[k, k]) == 0.0:
+        R = zgeqrf(np.column_stack((hbar[: k + 2, : k + 1], c[: k + 2])))[0]
+        if R[k, k] == 0.0:
             break  # singular projection
-        estimates.append(abs(g[k + 1]))
+        estimates.append(abs(R[k + 1, k + 1]))
         if breakdown:
             break
         np.multiply(w, 1.0 / w_norm, out=w)
@@ -244,9 +224,8 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
             break
 
     n = kept + len(estimates)
-    y = np.zeros(n, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        y[i] = (g[i] - h[i, i + 1 : n] @ y[i + 1 : n]) / h[i, i]
+    # LAPACK rejects an empty system: a first step with a singular projection
+    y = ztrtrs(R[:n, :n], R[:n, -1])[0] if n else np.zeros(0, dtype=complex)
     out = x.astype(complex).ravel()
     for j in range(n):
         out = zaxpy(Z[j].ravel(), out, a=y[j])

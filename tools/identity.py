@@ -14,21 +14,23 @@ writes one sha256 digest per key to ``OUT.json``, and a few plain counts:
 - ``solve/...``: the iterate ``x``, the residual history and the
   ``CycleDiagnostics`` rows of poly3 at n = 63, 127 and GMRES(3) at
   n = 63, 127, 255, with k = 0.625 (n + 1), seed 0 and a point source, and
-  each solve's ``iterations`` and ``restarts`` as plain integers, so a change
-  that only rounds differently shows as digests that differ beside counts
-  that do not;
+  the iterate and residual history of ``solve_baseline`` (unpreconditioned
+  GMRES, the same FGMRES cycle without ``Z``) at n = 31 on the same kind of
+  problem; each solve's ``iterations`` and ``restarts`` as plain integers, so
+  a change that only rounds differently shows as digests that differ beside
+  counts that do not;
 - ``spectrum/...``: both CSVs of ``helmgrid spectrum`` at n = 31, k = 20 and
   at n = 63, k = 40;
 - ``environment``: ``cli.environment()``.
 
 It uses public names only (``ProblemConfig``, ``setup_problem``, ``solve``,
-the ``spectrum`` command, the design records and ``SolveReport``'s
-``iterations`` and ``restarts``), so one copy of the script fingerprints an
-older checkout too, one whose report counts restarts, whether or not it
-designs the coarsest level: run it once with each checkout's ``src`` on
-``PYTHONPATH`` and compare the two files key by key.
+``solve_baseline``, the ``spectrum`` command, the design records and
+``SolveReport``'s ``iterations`` and ``restarts``), so one copy of the script
+fingerprints an older checkout too, one whose report counts restarts, whether
+or not it designs the coarsest level: run it once with each checkout's
+``src`` on ``PYTHONPATH`` and compare the two files key by key.
 Digests are equal only at equal BLAS thread counts: set
-``OPENBLAS_NUM_THREADS=1``.  Takes about 15 seconds on one core.
+``OPENBLAS_NUM_THREADS=1``.  Takes about 5 seconds on one core of a 2-core VM.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 import helmgrid
-from helmgrid import ConstantK, ProblemConfig, WedgeK, pick_grid_size, setup_problem, solve
+from helmgrid import (ConstantK, ProblemConfig, WedgeK, pick_grid_size, setup_problem, solve,
+                      solve_baseline)
 from helmgrid.cli import environment, main
 from helmgrid.spectrum import UnstableLevelError
 
@@ -97,18 +100,31 @@ def design_digest(config: ProblemConfig) -> str:
     return digest(*parts)
 
 
-def solve_digests(smoother: str, n: int) -> dict:
-    config = ProblemConfig(n=n, k=ConstantK(0.625 * (n + 1)), smoother=smoother,
-                           rhs="point", seed=0)
-    x, report, _ = solve(config, collect_diagnostics=True)
-    tag = f"solve/{smoother}-n{n}"
+def point_source(n: int, smoother: str = ProblemConfig.smoother) -> ProblemConfig:
+    return ProblemConfig(n=n, k=ConstantK(0.625 * (n + 1)), smoother=smoother,
+                         rhs="point", seed=0)
+
+
+def report_digests(tag: str, x: np.ndarray, report) -> dict:
     return {
         f"{tag}/x": digest(x.tobytes()),
         f"{tag}/residual_history": digest(np.array(report.residual_history, dtype=float).tobytes()),
-        f"{tag}/diagnostics_rows": digest(json.dumps(report.diagnostics.rows).encode()),
         f"{tag}/iterations": report.iterations,
         f"{tag}/restarts": report.restarts,
     }
+
+
+def solve_digests(smoother: str, n: int) -> dict:
+    x, report, _ = solve(point_source(n, smoother), collect_diagnostics=True)
+    tag = f"solve/{smoother}-n{n}"
+    out = report_digests(tag, x, report)
+    out[f"{tag}/diagnostics_rows"] = digest(json.dumps(report.diagnostics.rows).encode())
+    return out
+
+
+def baseline_digests(n: int) -> dict:
+    x, report = solve_baseline(point_source(n))
+    return report_digests(f"solve/baseline-n{n}", x, report)
 
 
 def spectrum_digests(n: int, k: float) -> dict:
@@ -127,6 +143,7 @@ def fingerprints() -> dict:
     for smoother, sizes in (("poly3", (63, 127)), ("gmres3", (63, 127, 255))):
         for n in sizes:
             out.update(solve_digests(smoother, n))
+    out.update(baseline_digests(31))
     for n, k in ((31, 20.0), (63, 40.0)):
         out.update(spectrum_digests(n, k))
     out["environment"] = digest(json.dumps(environment(), sort_keys=True).encode())
