@@ -13,8 +13,9 @@ harmonic Ritz pairs of smallest modulus of the cycle's ``Hbar`` (FGMRES-DR:
 Morgan, SISC 24, 2002; Giraud, Gratton, Pinel & Vasseur, SISC 32, 2010), so
 the slow modes the preconditioner leaves near 0 are not dropped and found
 again; the first cycle, and any restart that keeps none, is the case of no
-kept columns, a relation started from the residual.  With no preconditioner
-it is plain GMRES-DR (``solve_baseline``).  The GMRES(3) smoother minimizes
+kept columns, a relation started from the residual.  A preconditioner of
+``None`` is the identity: the same cycle, ``Z`` stored as copies of ``V``,
+is plain GMRES-DR (``solve_baseline``).  The GMRES(3) smoother minimizes
 over the same kind of Krylov space but does not run this process: it solves
 a 3-column least-squares problem in the monomial basis (``smoother``).
 ``V`` and ``Z`` are preallocated, a restart recombines them in place in
@@ -81,16 +82,16 @@ class _Basis:
     """The flexible Arnoldi relation ``A Z[:n] = V[:n + 1] hbar[:n + 1, :n]``
     that cycles extend, with ``r = V c`` the residual a cycle starts from.
 
-    ``V`` holds ``m + 1`` fields and ``Z`` ``m``, allocated once; without a
-    preconditioner ``Z`` is ``None`` and ``V[:n]`` stands in for it.  ``kept``
-    columns carry into the next cycle (:meth:`start` or :meth:`deflate` sets
+    ``V`` holds ``m + 1`` fields and ``Z`` ``m``, allocated once; ``Z`` is
+    stored with no preconditioner too, as copies of ``V``.  ``kept`` columns
+    carry into the next cycle (:meth:`start` or :meth:`deflate` sets
     them); ``steps`` and ``y`` are the last cycle's columns and least-squares
     coefficients.
     """
 
-    def __init__(self, like: np.ndarray, m: int, flexible: bool):
+    def __init__(self, like: np.ndarray, m: int):
         self.V = np.empty((m + 1, *like.shape), dtype=complex)
-        self.Z = np.empty((m, *like.shape), dtype=complex) if flexible else None
+        self.Z = np.empty((m, *like.shape), dtype=complex)
         self.hbar = np.zeros((m + 1, m), dtype=complex)
         self.c = np.zeros(m + 1, dtype=complex)
         self.kept = self.steps = 0
@@ -140,8 +141,7 @@ class _Basis:
             p = p - P[:, :keep] @ (P[:, :keep].conj().T @ p)
         P[:, keep] = p / np.linalg.norm(p)
         _recombine(self.V, P)
-        if self.Z is not None:
-            _recombine(self.Z, P[:n, :keep])
+        _recombine(self.Z, P[:n, :keep])
         h_kept = P.conj().T @ hbar @ P[:n, :keep]
         self.hbar.fill(0.0)
         self.hbar[: keep + 1, :keep] = h_kept
@@ -164,7 +164,8 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
 
     Extends the relation ``basis`` holds, from its ``kept`` columns and its
     residual ``V c``, in place to up to ``m`` columns of Arnoldi on ``A M``
-    (``M = precondition``, identity when ``None``) and returns
+    (``M = precondition``, the identity when ``None``; ``Z`` is stored either
+    way) and returns
     ``(x + Z y, estimates, breakdown)``: ``Z y`` minimizes ``||V c - A Z y||``
     over the preconditioned vectors ``Z``, so ``y`` minimizes
     ``||c - hbar y||``; ``estimates`` holds the residual-norm estimate after
@@ -186,18 +187,15 @@ def _arnoldi_cycle(apply_A, precondition, x, m, target, basis):
     ``apply_A`` and ``precondition`` may return theirs.
     ``||A z||`` feeds only the thresholds; it is ``hypot(||h_k||, ||w||)``.
     """
-    V, hbar, c, kept = basis.V, basis.hbar, basis.c, basis.kept
-    Z = V if basis.Z is None else basis.Z
+    if precondition is None:  # plain GMRES: the same cycle with the identity
+        precondition = lambda v: v
+    V, Z, hbar, c, kept = basis.V, basis.Z, basis.hbar, basis.c, basis.kept
     flat = V.reshape(len(V), -1)
     estimates = []
     breakdown = False
     for k in range(kept, m):
-        if precondition is None:
-            z = V[k]
-        else:
-            Z[k] = precondition(V[k])
-            z = Z[k]
-        np.copyto(V[k + 1], apply_A(z))
+        Z[k] = precondition(V[k])
+        np.copyto(V[k + 1], apply_A(Z[k]))
         w = V[k + 1]
         h = hbar[:, k]
         for j in range(k + 1):
@@ -260,8 +258,9 @@ def fgmres(
         The physical operator, field -> field.
     precondition : callable or None
         Approximate inverse of the shifted operator (one V-cycle from a zero
-        guess); may vary between calls.  ``None`` means identity: plain
-        GMRES with deflated restarting.
+        guess); may vary between calls.  ``None`` means the identity: plain
+        GMRES with deflated restarting, by the same cycle, which stores
+        ``Z`` as copies of ``V``.
     b : ndarray
         Right-hand side field.
     tol : float
@@ -294,7 +293,7 @@ def fgmres(
     residual = 0.0
     r = b
     size = min(restart, max_iter)
-    basis = _Basis(b, size, precondition is not None)
+    basis = _Basis(b, size)
     while b_norm > 0.0:
         if not basis.kept:
             basis.start(r)

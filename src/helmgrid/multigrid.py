@@ -227,14 +227,9 @@ def build_hierarchy(
         op = ops[-1]
         ops.append(StencilOperator(coarsen_grid(op.grid), coarsen_field(op.k_field), op.shift, dtype))
 
-    if smoother == "poly3":
-        designs = design_levels(ops[:-1])
-        levels = [Level(op, d, jacobi_weights_for(d, op)) for op, d in zip(ops, designs)]
-        levels.append(Level(op=ops[-1]))
-    else:
-        levels = []
-        for op in ops:
-            levels.append(Level(op=op))
+    designs = design_levels(ops[:-1]) if smoother == "poly3" else []
+    levels = [Level(op, d, jacobi_weights_for(d, op)) for op, d in zip(ops, designs)]
+    levels += [Level(op) for op in ops[len(designs):]]
 
     a = ops[-1].assemble_dense()
     lu, piv = lu_factor(a)

@@ -10,6 +10,7 @@ to a scalar, with a complex-shifted Laplacian), driven by outer FGMRES.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -69,6 +70,11 @@ class ProblemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "layer_width", "nu_pre", "nu_post", "restart", "max_iter", "seed"):
+            value = getattr(self, name)
+            unset = name == "layer_width" and value is None
+            if not unset and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         check_stretched_grid(self.n, self.layer_width, self.sigma_max, self.ramp)
         if self.n % 2 == 0:
             raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")

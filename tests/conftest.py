@@ -47,7 +47,7 @@ def arnoldi_cycle(apply_A, precondition, x, r, m, target=0.0, basis=None):
     """One FGMRES restart cycle from ``x`` and its nonzero residual ``r``:
     starts ``basis`` (a fresh one of ``m`` steps when ``None``) at ``r``."""
     if basis is None:
-        basis = _Basis(r, m, precondition is not None)
+        basis = _Basis(r, m)
     basis.start(r)
     return _arnoldi_cycle(apply_A, precondition, x, m, target, basis)
 

@@ -119,13 +119,26 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "values, message",
-        [({"n": 64}, "^grid size n must be odd"), ({"k": 20.0}, "^wave number k must be a ConstantK")],
-        ids=["n64", "bare-k"],
+        [({"n": 64}, "^grid size n must be odd"), ({"k": 20.0}, "^wave number k must be a ConstantK"),
+         ({"n": 63.0}, "^n must be an integer, got 63.0$"),
+         ({"max_iter": 10.5}, "^max_iter must be an integer"),
+         ({"nu_pre": 1.5}, "^nu_pre must be an integer"),
+         ({"nu_post": True}, "^nu_post must be an integer, got True$"),
+         ({"restart": True}, "^restart must be an integer"),
+         ({"restart": 20.5}, "^restart must be an integer"),
+         ({"seed": 1.5, "rhs": "random"}, "^seed must be an integer"),
+         ({"layer_width": 4.5, "sigma_max": 1.0}, "^layer_width must be an integer")],
+        ids=["n64", "bare-k", "n-float", "max_iter-float", "nu_pre-float", "nu_post-bool",
+             "restart-bool", "restart-float", "seed-float", "layer_width-float"],
     )
     def test_invalid_config_raises_when_built(self, values, message):
-        # a config that exists is valid: no set-up or solve re-checks it
+        # a config that exists is valid: no set-up or solve re-checks it, so a
+        # count that is not an integer is rejected here, naming its field
         with pytest.raises(ValueError, match=message):
             ProblemConfig(**values)
+
+    def test_numpy_integers_are_integers(self):
+        assert ProblemConfig(n=np.int64(63)).n == 63
 
     def test_smoothing_count_flags_reach_report(self, tmp_path):
         out = tmp_path / "out"

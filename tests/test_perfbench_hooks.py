@@ -82,3 +82,23 @@ def test_benchmark_configs_are_valid(monkeypatch):
         assert workload.config_for(w).n == w.n
     tiny = ProblemConfig(n=15, k=ConstantK(workload.KH * 16), smoother="gmres3", **workload.SOLVE)
     replace(tiny, n=7, k=ConstantK(workload.KH * 8), smoother="poly3")
+
+
+def test_setup_calls_jacobi_weights_for_per_designed_level(monkeypatch, op31):
+    # perfbench/tracing.py times spectrum.design_ms.* by wrapping
+    # multigrid.jacobi_weights_for, so set-up must keep calling it through
+    # multigrid's binding: once per designed level, never for GMRES(3)
+    calls = []
+    original = helmgrid.multigrid.jacobi_weights_for
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(helmgrid.multigrid, "jacobi_weights_for", counting)
+    hierarchy = helmgrid.build_hierarchy(op31, smoother="poly3")
+    designed = [level for level in hierarchy.levels if level.design is not None]
+    assert len(designed) == hierarchy.depth - 1 == len(calls)
+    calls.clear()
+    helmgrid.build_hierarchy(op31, smoother="gmres3")
+    assert calls == []

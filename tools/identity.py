@@ -15,7 +15,7 @@ writes one sha256 digest per key to ``OUT.json``, and a few plain counts:
   ``CycleDiagnostics`` rows of poly3 at n = 63, 127 and GMRES(3) at
   n = 63, 127, 255, with k = 0.625 (n + 1), seed 0 and a point source, and
   the iterate and residual history of ``solve_baseline`` (unpreconditioned
-  GMRES, the same FGMRES cycle without ``Z``) at n = 31 on the same kind of
+  GMRES, the FGMRES cycle with the identity) at n = 31 on the same kind of
   problem; each solve's ``iterations`` and ``restarts`` as plain integers, so
   a change that only rounds differently shows as digests that differ beside
   counts that do not;
