@@ -17,8 +17,7 @@ import math
 import os
 import platform
 import sys
-import typing
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import scipy
 
 from .grid import ConstantK, WedgeK
 from .multigrid import DivergenceError
-from .problems import DEFAULT_PPW, ProblemConfig, setup_problem, solve, sweep
+from .problems import DEFAULT_PPW, FIELD_TYPES, ProblemConfig, setup_problem, solve, sweep
 from .spectrum import UnstableLevelError, symbol_samples
 
 RESIDUALS_COLUMNS = ["iteration", "relative_residual"]
@@ -137,32 +136,9 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-# the config schema: a parser per ProblemConfig field, from its type
-# (``int | None`` parses as int; ``k`` is a spec string, see parse_k_spec);
-# each one's error names its key
-_PARSERS = {
-    name: partial(parse, name, next(t for t in typing.get_args(hint) or (hint,)
-                                    if t is not type(None)))
-    for name, hint in typing.get_type_hints(ProblemConfig).items()
-}
+# a parser per ProblemConfig field, by its type; ``k`` is a spec string (parse_k_spec)
+_PARSERS = {name: partial(parse, name, kind) for name, kind in FIELD_TYPES.items()}
 _PARSERS["k"] = parse_k_spec
-_HELP = {
-    "n": "interior grid points per axis (odd)",
-    "k": "wave number: a float or wedge:kt,km,kb[:a,b]",
-    "layer_width": "layer cells per side",
-    "sigma_max": "peak layer stretch",
-    "ramp": "layer stretch profile: quadratic or linear",
-    "beta": "complex shift of the preconditioner",
-    "precond": "preconditioner flavor: grid or csl",
-    "smoother": "level smoother: gmres3 or poly3",
-    "nu_pre": "smoothing steps before the coarse-grid correction",
-    "nu_post": "smoothing steps after the coarse-grid correction",
-    "tol": "relative residual tolerance",
-    "restart": "FGMRES restart length",
-    "max_iter": "iteration cap",
-    "rhs": "right-hand side kind: point or random",
-    "seed": "seed for random right-hand sides",
-}
 
 
 def config_from_sources(file_values: dict, args: argparse.Namespace) -> ProblemConfig:
@@ -183,8 +159,7 @@ def run_solve(config: ProblemConfig, out_dir: Path, diagnostics: bool = False,
     write_csv(out_dir / "residuals.csv", RESIDUALS_COLUMNS, enumerate(report.residual_history))
     if diagnostics and report.diagnostics is not None:
         write_csv(out_dir / "diagnostics.csv", DIAGNOSTICS_COLUMNS,
-                  [(r["cycle"], r["level"], r["cgc_ratio"], r["pre_residual"], r["post_residual"])
-                   for r in report.diagnostics.rows])
+                  [[r[c] for c in DIAGNOSTICS_COLUMNS] for r in report.diagnostics.rows])
     if write_solution:
         nx, ny = x.shape
         rows = [(ix, iy, x[ix, iy]) for iy in range(ny) for ix in range(nx)]
@@ -236,22 +211,15 @@ def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
 
 
 def config_summary(config: ProblemConfig) -> dict:
-    """Every config field, for ``report.json``; ``k`` as a description."""
-    summary = {f.name: getattr(config, f.name) for f in fields(config)}
-    k = config.k
-    summary["k"] = (
-        {"kind": "constant", "k0": k.k0}
-        if isinstance(k, ConstantK)
-        else {"kind": "wedge", "k_top": k.k_top, "k_mid": k.k_mid, "k_bot": k.k_bot,
-              "interfaces": list(k.interfaces)}
-    )
-    return summary
+    """Every config field, for ``report.json``; ``k`` as its kind and fields."""
+    kind = "constant" if isinstance(config.k, ConstantK) else "wedge"
+    return {**asdict(config), "k": {"kind": kind, **asdict(config.k)}}
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value configuration file")
-    for key in _PARSERS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP[key])
+    for f in fields(ProblemConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"])
     p.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
 
 

@@ -77,7 +77,7 @@ def check_stretched_grid(n: int, layer_width: int | None, sigma_max: float, ramp
     a layer with no stretch is no layer, so only one with ``sigma_max > 0`` overlaps."""
     if n < 3:
         raise ValueError(f"grid size n needs n >= 3 interior points, got {n}")
-    if not 0 <= sigma_max < SIGMA_MAX_CAP:
+    if not 0 <= float(sigma_max) < SIGMA_MAX_CAP:  # the cap would overflow a float32
         raise ValueError(f"sigma_max must be finite, >= 0 and below {SIGMA_MAX_CAP:.4g}, where "
                          f"the stencil's products of layer spacings overflow, got {sigma_max}")
     if layer_width is not None and (layer_width < 0 or (sigma_max > 0 and layer_width > n / 4)):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,30 +52,37 @@ FIELDS_PER_UNKNOWN = 5 + 5 + 2 + 3 + 1 + 8
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Knobs for one solve, checked when built; defaults give the canonical constant-k case."""
+    """Knobs for one solve, checked when built; defaults give the canonical constant-k case.
+    Each field is a CLI flag and a config-file key; ``metadata["help"]`` is its help."""
 
-    n: int = 63
-    k: ConstantK | WedgeK = ConstantK(20.0)
-    layer_width: int | None = None
-    sigma_max: float = 1.0
-    ramp: str = "quadratic"
-    beta: float = 0.5
-    precond: str = "grid"  # "grid" (complex-shifted grid) or "csl"
-    smoother: str = "gmres3"  # "poly3" or "gmres3"
-    nu_pre: int = 1
-    nu_post: int = 1
-    tol: float = 1e-6
-    restart: int = 20
-    max_iter: int = 500
-    rhs: str = "point"  # "point" or "random"
-    seed: int = 0
+    n: int = field(default=63, metadata={"help": "interior grid points per axis (odd)"})
+    k: ConstantK | WedgeK = field(
+        default=ConstantK(20.0), metadata={"help": "wave number: a float or wedge:kt,km,kb[:a,b]"})
+    layer_width: int | None = field(default=None, metadata={"help": "layer cells per side"})
+    sigma_max: float = field(default=1.0, metadata={"help": "peak layer stretch"})
+    ramp: str = field(
+        default="quadratic", metadata={"help": "layer stretch profile: quadratic or linear"})
+    beta: float = field(default=0.5, metadata={"help": "complex shift of the preconditioner"})
+    precond: str = field(default="grid", metadata={"help": "preconditioner flavor: grid or csl"})
+    smoother: str = field(default="gmres3", metadata={"help": "level smoother: gmres3 or poly3"})
+    nu_pre: int = field(
+        default=1, metadata={"help": "smoothing steps before the coarse-grid correction"})
+    nu_post: int = field(
+        default=1, metadata={"help": "smoothing steps after the coarse-grid correction"})
+    tol: float = field(default=1e-6, metadata={"help": "relative residual tolerance"})
+    restart: int = field(default=20, metadata={"help": "FGMRES restart length"})
+    max_iter: int = field(default=500, metadata={"help": "iteration cap"})
+    rhs: str = field(default="point", metadata={"help": "right-hand side kind: point or random"})
+    seed: int = field(default=0, metadata={"help": "seed for random right-hand sides"})
 
     def __post_init__(self):
-        for name in ("n", "layer_width", "nu_pre", "nu_post", "restart", "max_iter", "seed"):
+        for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
-            unset = name == "layer_width" and value is None
-            if not unset and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if kind not in _NUMBERS or (value is None and getattr(ProblemConfig, name) is None):
+                continue  # k and the str fields have their own checks; None where it is the default
+            number, noun = _NUMBERS[kind]
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         check_stretched_grid(self.n, self.layer_width, self.sigma_max, self.ramp)
         if self.n % 2 == 0:
             raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")
@@ -113,6 +121,14 @@ class ProblemConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.k, (ConstantK, WedgeK)):
             raise ValueError(f"wave number k must be a ConstantK or WedgeK, got {self.k!r}")
+
+
+# each field's type, ``int | None`` read as int; the CLI's parsers and the type check read it
+FIELD_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(ProblemConfig).items()
+}
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
 def max_grid_size(restart: int = ProblemConfig.restart) -> int:

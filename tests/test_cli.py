@@ -127,9 +127,14 @@ class TestParsing:
          ({"restart": True}, "^restart must be an integer"),
          ({"restart": 20.5}, "^restart must be an integer"),
          ({"seed": 1.5, "rhs": "random"}, "^seed must be an integer"),
-         ({"layer_width": 4.5, "sigma_max": 1.0}, "^layer_width must be an integer")],
+         ({"layer_width": 4.5, "sigma_max": 1.0}, "^layer_width must be an integer"),
+         ({"sigma_max": "1"}, "^sigma_max must be a real number, got '1'$"),
+         ({"tol": "1e-6"}, "^tol must be a real number, got '1e-6'$"),
+         ({"beta": True}, "^beta must be a real number, got True$"),
+         ({"sigma_max": None}, "^sigma_max must be a real number, got None$")],
         ids=["n64", "bare-k", "n-float", "max_iter-float", "nu_pre-float", "nu_post-bool",
-             "restart-bool", "restart-float", "seed-float", "layer_width-float"],
+             "restart-bool", "restart-float", "seed-float", "layer_width-float", "sigma_max-str",
+             "tol-str", "beta-bool", "sigma_max-none"],
     )
     def test_invalid_config_raises_when_built(self, values, message):
         # a config that exists is valid: no set-up or solve re-checks it, so a
@@ -139,6 +144,21 @@ class TestParsing:
 
     def test_numpy_integers_are_integers(self):
         assert ProblemConfig(n=np.int64(63)).n == 63
+
+    def test_numpy_and_integer_values_are_real_numbers(self):
+        assert ProblemConfig(beta=np.float64(0.5)).beta == 0.5
+        assert ProblemConfig(tol=1).tol == 1
+        # the sigma_max cap overflows float32: the check compares it as a float
+        # (the suite turns the cast's RuntimeWarning into an error)
+        assert ProblemConfig(sigma_max=np.float32(1.0)).sigma_max == 1.0
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "spectrum"])
+    def test_every_flag_help_is_its_field_help(self, command):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        helps = {a.dest: a.help for a in subparsers.choices[command]._actions}
+        for f in fields(ProblemConfig):
+            assert isinstance(f.metadata["help"], str) and f.metadata["help"].strip()
+            assert helps[f.name] == f.metadata["help"]
 
     def test_smoothing_count_flags_reach_report(self, tmp_path):
         out = tmp_path / "out"
