@@ -1,7 +1,7 @@
 """The triangle bound and the cubic smoother weights, level by level.
 
-For each level that is smoothed (every level but the coarsest, which dense LU
-solves) we sample the Jacobi-normalized symbol of the shifted operator over all
+For each level that is smoothed (every level but the coarsest, which band LU
+solves exactly) we sample the Jacobi-normalized symbol of the shifted operator over all
 frozen (spacing, k) pairs.  With a positive shift every sample lands
 in the lower half of the complex plane; a near-minimal triangle encloses them,
 and the three damped-Jacobi weights are chosen so the cubic
@@ -24,12 +24,12 @@ from helmgrid import (
     symbol_samples,
 )
 
-g = build_stretched_grid(31, sigma_max=1.0)
-kf = build_wavenumber_field(ConstantK(20.0), g)
+g = build_stretched_grid(63, sigma_max=1.0)
+kf = build_wavenumber_field(ConstantK(40.0), g)
 op = StencilOperator(rotate_grid(g, 0.5), kf)
 hier = build_hierarchy(op, smoother="poly3")
 
-print("level-by-level spectral design (k = 20, beta = 0.5, sigma_max = 1):")
+print("level-by-level spectral design (n = 63, k = 40, beta = 0.5, sigma_max = 1):")
 for ell, level in enumerate(hier.levels[:-1]):
     ss = symbol_samples(level.op)
     tri = level.design.triangle
@@ -47,5 +47,5 @@ for ell, level in enumerate(hier.levels[:-1]):
 
 coarsest = hier.levels[-1]
 assert coarsest.design is None and coarsest.jacobi_w is None
-print(f"\nlevel {hier.depth - 1}: {coarsest.shape[0]}x{coarsest.shape[1]}, solved by dense LU "
+print(f"\nlevel {hier.depth - 1}: {coarsest.shape[0]}x{coarsest.shape[1]}, solved by band LU "
       "and never smoothed, so it gets no design")

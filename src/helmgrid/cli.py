@@ -210,10 +210,20 @@ def run_spectrum(config: ProblemConfig, out_dir: Path) -> int:
     return 0
 
 
+def _python(value):
+    """``value`` with numpy scalars, also inside a dict or tuple, as Python numbers."""
+    if isinstance(value, dict):
+        return {key: _python(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_python, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def config_summary(config: ProblemConfig) -> dict:
-    """Every config field, for ``report.json``; ``k`` as its kind and fields."""
+    """Every config field, for ``report.json``, in Python numbers (a field
+    may hold a numpy scalar); ``k`` as its kind and fields."""
     kind = "constant" if isinstance(config.k, ConstantK) else "wedge"
-    return {**asdict(config), "k": {"kind": kind, **asdict(config.k)}}
+    return _python({**asdict(config), "k": {"kind": kind, **asdict(config.k)}})
 
 
 def _add_common_flags(p: argparse.ArgumentParser):

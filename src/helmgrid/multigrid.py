@@ -5,14 +5,18 @@ other node is retained and spacings are summed pairwise, which preserves the
 complex stretch and the global rotation factor exactly; the wavenumber field
 is restricted by injection at coincident nodes, and every level keeps the fine
 operator's complex shift.  Transfers are full weighting and bilinear
-interpolation on the index lattice; the coarsest level is solved by dense LU.
+interpolation on the index lattice.  Coarsening stops at a side of at most
+:data:`COARSEST_MAX` or at an even side, and that coarsest level is solved
+exactly by LAPACK's band LU (``zgbtrf`` once, ``zgbtrs`` per cycle), whose
+bandwidth is the level's ``n_y``: about ``N n_y^2`` work to factor, against
+``N^3`` for a dense LU.
 
 Precision: every level but the coarsest with at least
 :data:`SINGLE_MIN_UNKNOWNS` unknowns gets a ``complex64`` operator and runs
 its smoothing, residuals and transfers in single precision; the smaller
-levels and the coarsest LU stay ``complex128``.  A cycle casts each level's
-right-hand side and the prolonged correction to that level's dtype, and
-returns the finest level's.  Outer FGMRES accepts a preconditioner that
+levels and the coarsest level's LU stay ``complex128``.  A cycle casts each
+level's right-hand side and the prolonged correction to that level's dtype,
+and returns the finest level's.  Outer FGMRES accepts a preconditioner that
 changes from call to call, so the rounding costs iterations, never the
 accuracy of the solve, whose residual stays in double.
 """
@@ -22,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .grid import ComplexGrid, WavenumberField
 from .smoother import gmres_smooth, poly3_smooth
 # design_for_operator is not called here; perfbench/tracing.py wraps it by this name
 from .spectrum import SpectralDesign, design_for_operator, design_levels, jacobi_weights_for
-from .stencil import StencilOperator
+from .stencil import DENSE_SIZE_CAP, StencilOperator
 
 __all__ = [
     "Level",
@@ -42,16 +46,17 @@ __all__ = [
     "restrict",
     "prolong",
     "coarse_solve",
+    "lu_factor",
 ]
 
-COARSEST_MAX = 9
+COARSEST_MAX = 15
 SMOOTHERS = ("poly3", "gmres3")
 # Smallest level, in unknowns, that runs in complex64.  The large levels hold
 # the cycle's memory traffic, and single precision halves it; the coarse
 # levels keep double because the GMRES(3) smoother's scaled Gram matrix
 # passes single precision's reach there (condition estimates up to 5.9e10 on
-# 15 x 15 at k <= 320, at most 1.2e4 on 127 x 127 and up), and so that every
-# cycle at n <= 63 stays the double-precision cycle.
+# a smoothed 15 x 15 level at k <= 320, at most 1.2e4 on 127 x 127 and up),
+# and so that every cycle at n <= 63 stays the double-precision cycle.
 SINGLE_MIN_UNKNOWNS = 127 * 127
 
 
@@ -113,11 +118,27 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
     return f
 
 
+def lu_factor(op: StencilOperator) -> tuple:
+    """Band LU of the coarsest level, ``(factors, pivots, shape)`` for
+    :func:`coarse_solve`: ``zgbtrf`` on ``op.assemble_band()``, whose
+    bandwidth is ``n_y``.  Set-up calls it through this module's name, which
+    ``perfbench/tracing.py`` wraps to time the coarse factor."""
+    n = op.n_unknowns
+    if n > DENSE_SIZE_CAP:
+        raise ValueError(f"coarsest-level LU capped at {DENSE_SIZE_CAP} unknowns, got {n}")
+    n_y = op.shape[1]
+    factors, pivots, info = zgbtrf(op.assemble_band(), n_y, n_y)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"coarsest level {op.shape} is singular (zero pivot {info})")
+    return factors, pivots, op.shape
+
+
 def coarse_solve(lu_factors, rhs: np.ndarray) -> np.ndarray:
-    """Dense LU back-substitution on the coarsest level (rhs as a 2D field),
-    in the dense ordering of ``StencilOperator.assemble_dense`` (y fastest)."""
+    """Band LU back-substitution (``zgbtrs``) on the coarsest level, rhs as a
+    2D field; returns ``complex128``, and leaves ``rhs`` as it was."""
     lu, piv, shape = lu_factors
-    return lu_solve((lu, piv), np.asarray(rhs).ravel()).reshape(shape)
+    x, _ = zgbtrs(lu, shape[1], shape[1], np.asarray(rhs).ravel(), piv)
+    return x.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +220,7 @@ def build_hierarchy(
     nu_pre: int = 1,
     nu_post: int = 1,
 ) -> Hierarchy:
-    """Build operators, per-level smoother parameters and the coarsest LU.
+    """Build operators, per-level smoother parameters and the coarsest level's LU.
 
     ``smoother`` is one of :data:`SMOOTHERS`.  With ``poly3`` every level
     but the coarsest gets a spectral design (triangle + optimized cubic
@@ -207,8 +228,10 @@ def build_hierarchy(
     cut loop (:func:`design_levels`); the lowest unstable level raises.  The
     coarsest level is solved by LU and never smoothed, so its ``design`` and
     ``jacobi_w`` are None.  The levels have the shapes :func:`level_shapes`
-    gives; the coarsest level, whatever its size, is factored by dense LU,
-    whose assembly raises above ``DENSE_SIZE_CAP`` unknowns.  ``nu_pre`` and
+    gives; the coarsest level, whatever its size, is factored by band LU
+    (:func:`lu_factor`), which raises above ``DENSE_SIZE_CAP`` unknowns.  A
+    ``fine`` operator with a side of at most :data:`COARSEST_MAX` is that
+    one level, and each cycle on it is the exact solve.  ``nu_pre`` and
     ``nu_post`` are the smoothing counts of every cycle on the hierarchy.
     Every level but the coarsest with at least :data:`SINGLE_MIN_UNKNOWNS`
     unknowns runs in ``complex64``, every other level in ``complex128``;
@@ -231,9 +254,7 @@ def build_hierarchy(
     levels = [Level(op, d, jacobi_weights_for(d, op)) for op, d in zip(ops, designs)]
     levels += [Level(op) for op in ops[len(designs):]]
 
-    a = ops[-1].assemble_dense()
-    lu, piv = lu_factor(a)
-    return Hierarchy(levels, (lu, piv, ops[-1].shape), smoother, nu_pre, nu_post)
+    return Hierarchy(levels, lu_factor(ops[-1]), smoother, nu_pre, nu_post)
 
 
 def v_cycle(

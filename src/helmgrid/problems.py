@@ -97,7 +97,7 @@ class ProblemConfig:
         if coarsest * coarsest > DENSE_SIZE_CAP:
             raise ValueError(
                 f"grid size n={self.n} leaves a {coarsest}x{coarsest} coarsest level, "
-                f"above the dense LU cap of {DENSE_SIZE_CAP} unknowns"
+                f"above the coarsest-level LU cap of {DENSE_SIZE_CAP} unknowns"
             )
         check_rotation(self.beta)
         layer = default_layer_width(self.n) if self.layer_width is None else self.layer_width

@@ -14,7 +14,9 @@ The last two agree up to the scalar ``gamma^2 = 1 + i*beta``.
 Unknowns are ordered y fastest (C order).  The coefficients are one C-ordered
 ``(5, n_x, n_y)`` store, built on first use, whose rows are scipy's DIA
 diagonals for offsets ``(0, -n_y, +n_y, -1, +1)``, zero where a diagonal wraps
-across an x-row; ``apply`` is one DIA matvec, the dense matrix its ``toarray()``.
+across an x-row; ``apply`` is one DIA matvec, the dense matrix its ``toarray()``,
+and LAPACK's band layout, which factors the multigrid's coarsest level, the
+same rows summed into a zeroed array.
 The cache-blocked kernel's ``apply_window`` cuts windows from a zero-ringed copy.
 
 An operator has a ``dtype``, ``complex128`` unless given or ``complex64``
@@ -142,6 +144,19 @@ class StencilOperator:
             raise ValueError(f"rhs shape {b.shape} != operator shape {self.shape}")
         v = self.apply(u)
         return np.subtract(b, v, out=v)
+
+    def assemble_band(self) -> np.ndarray:
+        """The matrix in LAPACK's band layout with ``kl = ku = n_y``, in
+        ``complex128``: entry ``(i, j)`` at row ``2 n_y + i - j`` of column
+        ``j`` of a ``(3 n_y + 1, N)`` array whose first ``n_y`` rows are left
+        zero for ``gbtrf``'s fill-in, so DIA offset ``o`` is row ``2 n_y - o``.
+        The diagonals are summed in: at ``n_y = 1`` the y rows, all zero, share
+        the x rows' offsets ``-1, +1``."""
+        n_y = self.shape[1]
+        band = np.zeros((3 * n_y + 1, self.n_unknowns), dtype=np.complex128)
+        for row, offset in zip(self._store.reshape(5, -1), (0, -n_y, n_y, -1, 1)):
+            band[2 * n_y - offset] += row
+        return band
 
     def assemble_dense(self) -> np.ndarray:
         """Dense matrix in the C ordering, y fastest (oracle use)."""

@@ -172,6 +172,8 @@ class TestParsing:
         assert pick_grid_size(20.0) == 31
         assert pick_grid_size(40.0) == 63
         assert pick_grid_size(80.0) == 127
+        assert pick_grid_size(160.0) == 255
+        assert pick_grid_size(320.0) == 511
 
 
 class TestSolveCommand:
@@ -193,6 +195,16 @@ class TestSolveCommand:
         assert len(diag_rows) > 1
         sol_rows = read_rows(out / "solution.csv")
         assert len(sol_rows) - 1 == 63 * 63
+
+    def test_report_echoes_numpy_scalars_as_python_numbers(self, tmp_path):
+        # a config built in code may hold numpy scalars; the report still
+        # writes, and its echo reads back as Python numbers
+        config = ProblemConfig(n=np.int64(15), k=ConstantK(np.float32(10.0)), tol=np.float64(1e-6))
+        assert cli.run_solve(config, tmp_path) == 0
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert echo["n"] == 15 and type(echo["n"]) is int
+        assert echo["k"] == {"kind": "constant", "k0": 10.0}
+        assert echo["tol"] == 1e-6
 
     def test_report_records_environment(self, tmp_path, monkeypatch):
         # outputs are byte-identical per BLAS thread count, so the count is
@@ -523,15 +535,15 @@ class TestSweepCommand:
 class TestSpectrumCommand:
     def test_row_counts_match_declared_samples(self, tmp_path, capsys):
         out = tmp_path / "spec"
-        assert main(["spectrum", "--n", "31", "--k", "20", "--out-dir", str(out)]) == 0
+        assert main(["spectrum", "--n", "63", "--k", "40", "--out-dir", str(out)]) == 0
         tri_rows = read_rows(out / "spectrum_triangles.csv")
         sample_rows = read_rows(out / "spectrum_samples.csv")
 
         from helmgrid.problems import setup_problem
         from helmgrid.spectrum import symbol_samples
 
-        problem = setup_problem(ProblemConfig(n=31, k=ConstantK(20.0)))
-        assert problem.hierarchy.depth == 3  # 31 -> 15 -> 7
+        problem = setup_problem(ProblemConfig(n=63, k=ConstantK(40.0)))
+        assert problem.hierarchy.depth == 3  # 63 -> 31 -> 15
         # one triangle row per smoothing level; the coarsest is solved by LU
         assert len(tri_rows) - 1 == problem.hierarchy.depth - 1
         declared = sum(
@@ -543,9 +555,9 @@ class TestSpectrumCommand:
 
     def test_triangle_vertices_lower_half(self, tmp_path):
         out = tmp_path / "spec"
-        main(["spectrum", "--n", "15", "--k", "10", "--out-dir", str(out)])
+        main(["spectrum", "--n", "31", "--k", "20", "--out-dir", str(out)])
         rows = read_rows(out / "spectrum_triangles.csv")[1:]
-        assert len(rows) == 1  # 15 -> 7, and the 7 x 7 level is solved by LU
+        assert len(rows) == 1  # 31 -> 15, and the 15 x 15 level is solved by LU
         for row in rows:
             for col in (2, 4, 6):  # v1_im, v2_im, v3_im
                 assert float(row[col]) <= 1e-12
@@ -569,7 +581,7 @@ class TestSpectrumCommand:
         # spectrum writes the cubic's designs; a smoother that has none is an
         # input error naming the field, not ignored, and makes no directory
         out = tmp_path / "spec"
-        argv = ["spectrum", "--n", "15", "--k", "10", "--out-dir", str(out)]
+        argv = ["spectrum", "--n", "31", "--k", "20", "--out-dir", str(out)]
         if source == "flag":
             argv += ["--smoother", "gmres3"]
         else:

@@ -9,8 +9,10 @@ from scipy.sparse.linalg import LinearOperator, eigs
 from helmgrid import (
     CycleDiagnostics,
     StencilOperator,
+    UnstableLevelError,
     build_hierarchy,
     coarse_solve,
+    design_for_operator,
     prolong,
     restrict,
     v_cycle,
@@ -25,10 +27,10 @@ from tests.conftest import make_operator, random_field
 
 class TestCoarsening:
     def test_level_counts_for_power_family(self):
-        # interior sizes 63 -> 31 -> 15 -> 7
+        # interior sizes 63 -> 31 -> 15
         h = build_hierarchy(make_operator(63, 20.0))
-        assert h.depth == 4
-        assert [lv.shape[0] for lv in h.levels] == [63, 31, 15, 7]
+        assert h.depth == 3
+        assert [lv.shape[0] for lv in h.levels] == [63, 31, 15]
 
     def test_coarse_spacings_are_pairwise_sums(self):
         g = build_stretched_grid(9, layer_width=2, sigma_max=0.8)
@@ -54,7 +56,7 @@ class TestCoarsening:
         assert (physical.shift, physical.grid.gamma, physical.mode) == (1.0, 1.0, "physical")
         assert (shifted.shift, shifted.grid.gamma, shifted.mode) == (*want, "shifted")
         h = build_hierarchy(shifted)
-        assert h.depth == 4
+        assert h.depth == 3
         for level in h.levels:
             assert (level.op.shift, level.op.grid.gamma) == want
 
@@ -70,35 +72,37 @@ class TestCoarsening:
             assert np.max(level.design.triangle.vertices.imag) <= 1e-12
 
     def test_coarsest_level_gets_no_design(self, hier31_poly3):
-        # dense LU solves the coarsest level and never smooths it
+        # band LU solves the coarsest level and never smooths it
         coarsest = hier31_poly3.levels[-1]
         assert coarsest.design is None and coarsest.jacobi_w is None
         for level in hier31_poly3.levels[:-1]:
             assert level.design is not None and len(level.jacobi_w) == 3
 
     def test_wedge_designs_only_the_smoothed_levels(self):
-        # WedgeK(40, 60, 80) leaves no stable cubic on the coarsest of the 5
-        # levels, which is not smoothed; the four smoothed ones are certified
+        # WedgeK(30, 50, 70) leaves no stable cubic on the coarsest of the 4
+        # levels, which is not smoothed; the three smoothed ones are certified
         # and the poly3 solve converges
-        config = ProblemConfig(n=127, k=WedgeK(40.0, 60.0, 80.0), sigma_max=1.0,
+        config = ProblemConfig(n=127, k=WedgeK(30.0, 50.0, 70.0), sigma_max=1.0,
                                smoother="poly3", rhs="point", seed=0)
         levels = setup_problem(config).hierarchy.levels
-        assert len(levels) == 5 and levels[-1].design is None
+        assert len(levels) == 4 and levels[-1].design is None
+        with pytest.raises(UnstableLevelError, match="^unstable level 0:"):
+            design_for_operator(levels[-1].op)
         for level in levels[:-1]:
             assert level.design.weights.achieved_stability <= 1.0 + 1e-8
         _, report, _ = solve(config)
         assert report.converged
 
     def test_level_cap_bounded_by_dense_cap_alone(self):
-        # 131 -> 65 -> 32 stops at an even side within the dense LU cap;
-        # 133 -> 66 stops at once, above it
+        # 131 -> 65 -> 32 stops at an even side within the coarsest-level LU
+        # cap; 133 -> 66 stops at once, above it
         h = build_hierarchy(make_operator(131, 20.0))
         assert h.depth == 3
         assert h.levels[-1].shape == (32, 32)
-        with pytest.raises(ValueError, match="dense assembly capped"):
+        with pytest.raises(ValueError, match="coarsest-level LU capped at 4096 unknowns, got 4356"):
             build_hierarchy(make_operator(133, 20.0))
 
-    @pytest.mark.parametrize("n", [5, 9, 11, 21, 30, 63])
+    @pytest.mark.parametrize("n", [5, 9, 11, 15, 17, 21, 30, 31, 63])
     def test_level_shapes_are_the_built_shapes(self, n):
         # odd sides above COARSEST_MAX halve; an even side or the cap stops
         h = build_hierarchy(make_operator(n, 5.0))
@@ -213,7 +217,7 @@ class TestVCycle:
 
     def test_contraction_on_constant_coefficient_problem(self):
         # regression threshold 0.5 validated by the dense two-grid oracle
-        # below (spectral radius ~0.34 on n=15)
+        # below (spectral radius ~0.34 on n=31)
         op = make_operator(63, 20.0)
         h = build_hierarchy(op, smoother="poly3")
         rng = np.random.default_rng(8)
@@ -231,16 +235,16 @@ class TestVCycle:
 
     def test_two_grid_oracle_spectral_radius(self):
         # dense two-grid iteration matrix E = S (I - P Ac^-1 R A) S
-        op = make_operator(15, 10.0)
+        op = make_operator(31, 20.0)
         h = build_hierarchy(op, smoother="poly3")
         assert h.depth == 2
-        n = 15
+        n = 31
         a = op.assemble_dense()
         dinv = 1.0 / op.grid_diagonal().ravel()
         s = np.eye(n * n, dtype=complex)
         for wi in h.levels[0].jacobi_w:
             s = (np.eye(n * n) - wi * dinv[:, None] * a) @ s
-        nc = 7
+        nc = 15
         p = np.zeros((n * n, nc * nc), dtype=complex)
         for j in range(nc * nc):
             e = np.zeros((nc, nc), dtype=complex)

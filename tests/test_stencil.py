@@ -14,6 +14,7 @@ from helmgrid import (
     build_wavenumber_field,
     coarse_solve,
 )
+from helmgrid.multigrid import lu_factor
 from helmgrid.stencil import _second_difference_coeffs
 from tests.conftest import MODES, make_operator, operator_for, random_field
 
@@ -328,14 +329,41 @@ class TestDense:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_coarse_solve_on_non_square_coarsest_level(self, mode):
-        # 15 x 31 coarsens to a 7 x 15 coarsest level, solved by dense LU
-        g = ComplexGrid(axis_spacing(15, 0.8), axis_spacing(31, 0.8))
+        # 31 x 63 coarsens to a 15 x 31 coarsest level, solved by band LU
+        g = ComplexGrid(axis_spacing(31, 0.8), axis_spacing(63, 0.8))
         h = build_hierarchy(operator_for(mode, g, build_wavenumber_field(WedgeK(9.0, 6.0, 12.0), g)))
         op_c = h.levels[-1].op
-        assert op_c.shape == (7, 15)
+        assert op_c.shape == (15, 31)
         b = random_field(op_c.shape, seed=23)
         u = coarse_solve(h.coarse_lu, b)
         assert np.linalg.norm(op_c.residual(b, u)) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [(7, 7), (15, 15), (15, 31), (31, 15), (1, 7), (7, 1), (1, 1)])
+    def test_band_layout_is_the_dense_matrix(self, shape, mode):
+        # entry (i, j) at band row 2 n_y + i - j of column j; the first n_y
+        # rows are gbtrf's fill-in room; the band LU solves the level
+        g = ComplexGrid(axis_spacing(shape[0], 0.8), axis_spacing(shape[1], 0.8))
+        op = operator_for(mode, g, build_wavenumber_field(WedgeK(9.0, 6.0, 12.0), g))
+        n, n_y = op.n_unknowns, shape[1]
+        band = op.assemble_band()
+        assert band.shape == (3 * n_y + 1, n) and band.dtype == np.complex128
+        assert not np.any(band[:n_y])
+        i, j = np.indices((n, n))
+        inside = np.abs(i - j) <= n_y
+        a = np.zeros((n, n), dtype=complex)
+        a[inside] = band[(2 * n_y + i - j)[inside], j[inside]]
+        np.testing.assert_array_equal(a, op.assemble_dense())
+        b = random_field(shape, seed=24)
+        u = coarse_solve(lu_factor(op), b)
+        assert np.linalg.norm(op.residual(b, u)) <= 1e-12 * np.linalg.norm(b)
+
+    def test_singular_coarsest_level_raises(self):
+        # one unknown with spacings 1/2: the diagonal 8 + 8 - k^2 is 0 at k = 4
+        g = ComplexGrid(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        op = StencilOperator(g, build_wavenumber_field(ConstantK(4.0), g))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            lu_factor(op)
 
 
 class TestInvariants:

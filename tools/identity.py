@@ -7,7 +7,7 @@ writes one sha256 digest per key to ``OUT.json``, and a few plain counts:
 - ``design/...``: every level's triangle vertices, weights, achieved stability
   and smoothing, high-frequency hull and damped-Jacobi weights, or the fixed
   marker ``no design`` for a level that has none (the coarsest level, which
-  dense LU solves, in checkouts that skip its design), on 25 poly3
+  the LU solves, in checkouts that skip its design), on 25 poly3
   set-ups (k = 10, 20, 40, 80 at 10 points per wavelength, sigma_max 0 and 1,
   ``grid`` and ``csl``; n = 31, k = 20 at sigma_max 2 and 3; four wedge
   set-ups), or the ``UnstableLevelError`` message where the set-up raises;
