@@ -149,7 +149,7 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
     if g.gamma != 1:
         raise ValueError(f"rotate_grid requires a physical grid, got gamma={g.gamma}")
     check_rotation(beta)
-    gamma = np.sqrt(1.0 + 1j * beta)
+    gamma = np.sqrt(1.0 + 1j * float(beta))  # in double, whatever precision beta has
     return ComplexGrid(
         spacing_x=g.spacing_x * gamma,
         spacing_y=g.spacing_y * gamma,
@@ -158,11 +158,13 @@ def rotate_grid(g: ComplexGrid, beta: float) -> ComplexGrid:
 
 
 def _check_wave_numbers(spec, names) -> None:
+    """Check each wave number, and store it as a Python float."""
     for name in names:
         k = float(getattr(spec, name))
         if not (k > 0 and k * k < np.inf):
             raise ValueError(f"{name} must be positive and finite with a finite square "
                              f"for wave number k, got {k}")
+        object.__setattr__(spec, name, k)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,8 @@ class WedgeK:
 
     def __post_init__(self):
         _check_wave_numbers(self, ("k_top", "k_mid", "k_bot"))
-        a, b = self.interfaces
+        a, b = map(float, self.interfaces)
+        object.__setattr__(self, "interfaces", (a, b))
         if not 0.0 < a < b < 1.0:
             raise ValueError(f"wave number k needs wedge interfaces 0 < a < b < 1, got {(a, b)}")
 

@@ -54,8 +54,8 @@ SMOOTHERS = ("poly3", "gmres3")
 # Smallest level, in unknowns, that runs in complex64.  The large levels hold
 # the cycle's memory traffic, and single precision halves it; the coarse
 # levels keep double because the GMRES(3) smoother's scaled Gram matrix
-# passes single precision's reach there (condition estimates up to 5.9e10 on
-# a smoothed 15 x 15 level at k <= 320, at most 1.2e4 on 127 x 127 and up),
+# passes single precision's reach there (condition estimates up to 5.3e8 on
+# 31 x 31 and 8.2e5 on 63 x 63 at k <= 320, at most 1.1e4 on 127 x 127 and up),
 # and so that every cycle at n <= 63 stays the double-precision cycle.
 SINGLE_MIN_UNKNOWNS = 127 * 127
 

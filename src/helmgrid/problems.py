@@ -83,6 +83,7 @@ class ProblemConfig:
             number, noun = _NUMBERS[kind]
             if isinstance(value, bool) or not isinstance(value, number):
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
+            object.__setattr__(self, name, kind(value))  # a numpy scalar as its Python number
         check_stretched_grid(self.n, self.layer_width, self.sigma_max, self.ramp)
         if self.n % 2 == 0:
             raise ValueError(f"grid size n must be odd for coarsening, got {self.n}")
@@ -288,7 +289,7 @@ def sweep_configs(k_list, ppw: float = DEFAULT_PPW, base: ProblemConfig | None =
             raise ValueError(f"k_list: k={k:g} is repeated")
     configs = []
     for k in k_list:
-        spec = ConstantK(float(k))
+        spec = ConstantK(k)
         n = pick_grid_size(k, ppw)
         try:
             configs.append(replace(base, n=n, k=spec))

@@ -339,8 +339,6 @@ def _triangle_candidates(normals: np.ndarray, offsets: np.ndarray, n_flush: int)
     (v12, ok12), (v23, ok23), (v31, ok31) = intersect(i, j), intersect(j, k), intersect(k, i)
     ok = ok12 & ok23 & ok31
     tri = np.stack([v12, v23, v31], axis=1)[ok]
-    if tri.size == 0:
-        return np.empty(0), np.empty((0, 3), dtype=complex), np.empty(0, dtype=bool)
     areas = 0.5 * np.abs(_cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
     return areas, tri, k[ok] < n_flush
 
@@ -388,8 +386,6 @@ def min_enclosing_triangle(hull) -> Triangle:
 
     normals, offsets, n_flush = _support_lines(hull, TRIANGLE_DIRECTIONS)
     areas, tris, flush = _triangle_candidates(normals, offsets, n_flush)
-    if areas.size == 0:
-        raise RuntimeError("triangle search found no bounded candidate")
 
     # hard area cap from the flush-edge family (the contract allows 10%;
     # keep half in reserve), then prefer candidates that stay below the real

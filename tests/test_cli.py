@@ -2,7 +2,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import scipy
 
 from helmgrid import cli, problems
 from helmgrid.cli import main, parse_k_spec, read_config_file
-from helmgrid.grid import ConstantK, WedgeK
+from helmgrid.grid import ConstantK, WedgeK, build_stretched_grid, rotate_grid
 from helmgrid.multigrid import DivergenceError
 from helmgrid.problems import (ProblemConfig, linear_fit, max_grid_size, pick_grid_size, sweep,
                                sweep_configs)
@@ -151,6 +151,29 @@ class TestParsing:
         # the sigma_max cap overflows float32: the check compares it as a float
         # (the suite turns the cast's RuntimeWarning into an error)
         assert ProblemConfig(sigma_max=np.float32(1.0)).sigma_max == 1.0
+        # a built config holds each number field, and each of k's, in its annotated type
+        config = ProblemConfig(
+            n=np.int64(31), k=WedgeK(np.float32(20.0), np.float32(30.0), np.float32(40.0),
+                                     (np.float32(0.25), np.float32(0.75))),
+            layer_width=np.int16(4), beta=np.float32(0.5), nu_pre=np.int32(2), tol=1,
+            seed=np.uint8(3))
+        numeric = {name: t for name, t in problems.FIELD_TYPES.items() if t in (int, float)}
+        assert {name: type(getattr(config, name)) for name in numeric} == numeric
+        k = config.k
+        assert type(k.interfaces) is tuple
+        assert [type(v) for v in (k.k_top, k.k_mid, k.k_bot, *k.interfaces)] == [float] * 5
+        # so a float32 beta rotates the grid by the double gamma of beta = 0.5,
+        # and solves to the same bytes ...
+        python_beta = ProblemConfig(n=31, k=ConstantK(20.0), beta=0.5)
+        numpy_beta = replace(python_beta, beta=np.float32(0.5))
+        gamma = problems.build_operators(python_beta)[1].grid.gamma
+        assert problems.build_operators(config)[1].grid.gamma == gamma
+        g = build_stretched_grid(31, sigma_max=1.0)
+        assert rotate_grid(g, np.float32(0.5)).gamma == rotate_grid(g, 0.5).gamma == gamma
+        assert problems.solve(numpy_beta)[0].tobytes() == problems.solve(python_beta)[0].tobytes()
+        # ... and bounds sigma_max by it: 4.2360678 is just below Re gamma / Im gamma
+        for beta in (0.5, np.float32(0.5)):
+            assert ProblemConfig(beta=beta, sigma_max=4.2360678).sigma_max == 4.2360678
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "spectrum"])
     def test_every_flag_help_is_its_field_help(self, command):
@@ -197,8 +220,8 @@ class TestSolveCommand:
         assert len(sol_rows) - 1 == 63 * 63
 
     def test_report_echoes_numpy_scalars_as_python_numbers(self, tmp_path):
-        # a config built in code may hold numpy scalars; the report still
-        # writes, and its echo reads back as Python numbers
+        # a config built in code from numpy scalars writes its report, and
+        # its echo reads back as Python numbers
         config = ProblemConfig(n=np.int64(15), k=ConstantK(np.float32(10.0)), tol=np.float64(1e-6))
         assert cli.run_solve(config, tmp_path) == 0
         echo = json.loads((tmp_path / "report.json").read_text())["config"]

@@ -226,17 +226,22 @@ class TestGmresSmooth:
                 assert best <= np.linalg.norm(op.residual(b, other)) + 1e-12 * np.linalg.norm(r0)
 
     def test_ill_conditioned_block_falls_back_to_householder(self, monkeypatch):
-        # level 4 (15 x 15) of the k = 160 hierarchy: the scaled normal
-        # equations' condition estimate is about 1.2e8 for a random defect
-        op = setup_problem(ProblemConfig(n=255, k=ConstantK(160.0))).hierarchy.levels[4].op
-        assert op.shape == (15, 15)
+        # level 4 (15 x 15) of the k = 160 hierarchy, where the scaled normal
+        # equations' condition estimate is about 1.2e8 for a random defect, is
+        # that hierarchy's coarsest level, which the band LU solves and no
+        # solve smooths; level 4 (31 x 31) of the k = 320 hierarchy is smoothed,
+        # and solves take the fallback there in 172 of its 220 calls
         sizes = spy_on_householder(monkeypatch)
-        b = random_field(op.shape, seed=0)
-        z = np.zeros_like(b)
-        got = np.linalg.norm(op.residual(b, gmres_smooth(op, z, b)))
-        want = np.linalg.norm(op.residual(b, reference_gmres_smooth(op, z, b)))
-        assert sizes == [3]
-        assert abs(got - want) <= 1e-10 * want
+        for n, k, side, seed in ((255, 160.0, 15, 0), (511, 320.0, 31, 1)):
+            op = setup_problem(ProblemConfig(n=n, k=ConstantK(k))).hierarchy.levels[4].op
+            assert op.shape == (side, side)
+            sizes.clear()
+            b = random_field(op.shape, seed=seed)
+            z = np.zeros_like(b)
+            got = np.linalg.norm(op.residual(b, gmres_smooth(op, z, b)))
+            want = np.linalg.norm(op.residual(b, reference_gmres_smooth(op, z, b)))
+            assert sizes == [3], side
+            assert abs(got - want) <= 1e-10 * want
 
     def test_dependent_block_drops_columns(self, monkeypatch):
         # sin(pi x) sin(2 pi y) is an eigenvector of the unstretched physical

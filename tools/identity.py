@@ -21,14 +21,18 @@ writes one sha256 digest per key to ``OUT.json``, and a few plain counts:
   counts that do not;
 - ``spectrum/...``: both CSVs of ``helmgrid spectrum`` at n = 31, k = 20 and
   at n = 63, k = 40;
+- ``report/...``: the ``config`` block of the ``report.json`` that
+  ``cli.run_solve`` writes for one n = 31 wedge config of Python numbers
+  (``python``), and for the same config built from numpy scalars whose values
+  float32 holds exactly (``numpy``), so both echo the same numbers;
 - ``environment``: ``cli.environment()``.
 
 It uses public names only (``ProblemConfig``, ``setup_problem``, ``solve``,
-``solve_baseline``, the ``spectrum`` command, the design records and
-``SolveReport``'s ``iterations`` and ``restarts``), so one copy of the script
-fingerprints an older checkout too, one whose report counts restarts, whether
-or not it designs the coarsest level: run it once with each checkout's
-``src`` on ``PYTHONPATH`` and compare the two files key by key.
+``solve_baseline``, the ``spectrum`` command, ``cli.run_solve``, the design
+records and ``SolveReport``'s ``iterations`` and ``restarts``), so one copy
+of the script fingerprints an older checkout too, one whose report counts
+restarts, whether or not it designs the coarsest level: run it once with each
+checkout's ``src`` on ``PYTHONPATH`` and compare the two files key by key.
 Digests are equal only at equal BLAS thread counts: set
 ``OPENBLAS_NUM_THREADS=1``.  Takes about 5 seconds on one core of a 2-core VM.
 """
@@ -47,7 +51,7 @@ import numpy as np
 import helmgrid
 from helmgrid import (ConstantK, ProblemConfig, WedgeK, pick_grid_size, setup_problem, solve,
                       solve_baseline)
-from helmgrid.cli import environment, main
+from helmgrid.cli import environment, main, run_solve
 from helmgrid.spectrum import UnstableLevelError
 
 
@@ -138,6 +142,23 @@ def spectrum_digests(n: int, k: float) -> dict:
         }
 
 
+def report_configs() -> dict:
+    def wedge(number, integer):
+        return ProblemConfig(
+            n=integer(31), k=WedgeK(number(10.0), number(15.0), number(20.0),
+                                    (number(0.25), number(0.75))),
+            sigma_max=number(1.0), beta=number(0.5), nu_pre=integer(2), seed=integer(3))
+
+    return {"python": wedge(float, int), "numpy": wedge(np.float32, np.int64)}
+
+
+def report_digest(config: ProblemConfig) -> str:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        run_solve(config, Path(tmp))
+        echo = json.loads((Path(tmp) / "report.json").read_text())["config"]
+    return digest(json.dumps(echo).encode())
+
+
 def fingerprints() -> dict:
     out = {f"design/{key}": design_digest(config) for key, config in design_configs().items()}
     for smoother, sizes in (("poly3", (63, 127)), ("gmres3", (63, 127, 255))):
@@ -146,6 +167,8 @@ def fingerprints() -> dict:
     out.update(baseline_digests(31))
     for n, k in ((31, 20.0), (63, 40.0)):
         out.update(spectrum_digests(n, k))
+    for case, config in report_configs().items():
+        out[f"report/{case}/config"] = report_digest(config)
     out["environment"] = digest(json.dumps(environment(), sort_keys=True).encode())
     return out
 
